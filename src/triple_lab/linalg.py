@@ -59,12 +59,6 @@ class CMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return mat_apply(self, v)
-
-    def conj_t(self) -> "CMatrix":
-        return CMatrix.from_array(self.entries.conj().T)
-
     def __matmul__(self, other: "CMatrix") -> "CMatrix":
         if self.cols != other.rows:
             raise UsageError(f"cannot multiply {self.shape} by {other.shape}")
@@ -79,9 +73,6 @@ class CMatrix:
         if self.shape != other.shape:
             raise UsageError(f"shape mismatch {self.shape} vs {other.shape}")
         return CMatrix.from_array(self.entries - other.entries)
-
-    def __rmul__(self, scalar) -> "CMatrix":
-        return CMatrix.from_array(complex(scalar) * self.entries)
 
     def __repr__(self):
         return f"CMatrix({self.rows}x{self.cols})"
@@ -108,13 +99,6 @@ class Spectrum:
 def _canonical_eig_order(values: np.ndarray) -> np.ndarray:
     # lexsort uses the LAST key as primary
     return np.lexsort((-values.imag, -values.real))
-
-
-def mat_apply(m: CMatrix, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (m.cols,):
-        raise UsageError(f"vector shape {v.shape} incompatible with matrix {m.shape}")
-    return m.entries @ v
 
 
 def solve_linear(m: CMatrix, b: np.ndarray, rtol: float = SOLVE_RTOL) -> np.ndarray:

@@ -108,6 +108,8 @@ def mobius_apply_batch(g: MobiusMap, coords: np.ndarray) -> np.ndarray:
     coords = np.asarray(coords, dtype=np.complex128)
     if coords.ndim != 2 or coords.shape[1] != g.model.coord_dim:
         raise UsageError(f"batch shape {coords.shape} does not match {g.model}")
+    if not np.all(np.isfinite(coords)):
+        raise UsageError("batch coordinates must be finite")
     norms = triple_norm_batch(g.model, coords)
     if norms.size and float(np.max(norms)) >= 1.0:
         raise DomainError(f"batch contains a point of norm {float(np.max(norms)):.6g} >= 1")

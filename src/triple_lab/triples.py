@@ -1,15 +1,20 @@
 """Finite-dimensional triple systems and their operator calculus.
 
-Three concrete models share one interface:
+One model, the p-by-q complex matrices with
 
-  disc         complex numbers, {x,y,z} = x conj(y) z, norm |x|
-  hilbert(n)   column vectors, {x,y,z} = ((x|y) z + (z|y) x)/2, norm ||x||_2
-  matrix(p,q)  p-by-q complex matrices, {x,y,z} = (x y* z + z y* x)/2,
-               norm = largest singular value
+  {x, y, z} = (x y* z + z y* x)/2,   norm = largest singular value,
 
-with (x|y) linear in x and conjugate-linear in y. Elements are flat
-coordinate vectors in the canonical basis (matrix units row-major for the
-matrix model); the matrix shape only matters to the norm and the product.
+carries every ball the laboratory works on. Two shapes have their own
+names: disc() is the 1-by-1 case, where {x, y, z} = x conj(y) z and the norm
+is the modulus, and hilbert(n) is the n-by-1 case, where
+{x, y, z} = ((x|y) z + (z|y) x)/2 and the norm is euclidean, with (x|y)
+linear in x and conjugate-linear in y. A single row or column has one
+non-zero singular value, so its triple norm is the euclidean norm of its
+coordinates.
+
+Elements are flat coordinate vectors in the canonical basis: matrix units,
+row-major. Under that ordering vec(A Z B) = (A kron B^T) vec(Z), which
+gives every operator below in closed form.
 
 The box operator x [] y = {x, y, .} is linear and is represented by its
 matrix in the canonical basis. The quadratic operator Q_x = {x, ., x} is
@@ -24,63 +29,56 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .linalg import CMatrix, spectral_norm, spectrum
+from .linalg import CMatrix, spectrum
 from .sampling import SamplingBudget, gaussian_complex, stream
-
-_KINDS = ("disc", "hilbert", "matrix")
 
 
 @dataclass(frozen=True)
 class TripleModel:
-    """One of the three concrete models; dims is (), (n,) or (p, q)."""
+    """The p-by-q complex matrices; disc() is (1, 1) and hilbert(n) is (n, 1)."""
 
-    kind: str
-    dims: tuple[int, ...] = ()
+    p: int
+    q: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise UsageError(f"unknown model kind {self.kind!r}")
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        expected = {"disc": 0, "hilbert": 1, "matrix": 2}[self.kind]
-        if len(dims) != expected:
-            raise UsageError(f"{self.kind} model takes {expected} dimension(s), got {dims}")
-        if any(d < 1 for d in dims):
-            raise UsageError(f"model dimensions must be >= 1, got {dims}")
+        p, q = int(self.p), int(self.q)
+        if p < 1 or q < 1:
+            raise UsageError(f"model dimensions must be >= 1, got ({p}, {q})")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.p, self.q)
 
     @property
     def coord_dim(self) -> int:
-        if self.kind == "disc":
-            return 1
-        if self.kind == "hilbert":
-            return self.dims[0]
-        return self.dims[0] * self.dims[1]
+        return self.p * self.q
 
     @property
     def norm_kind(self) -> str:
-        return {"disc": "modulus", "hilbert": "euclidean", "matrix": "spectral"}[self.kind]
+        # a single row or column has one singular value, its euclidean norm
+        return "euclidean" if min(self.p, self.q) == 1 else "spectral"
 
     def descriptor(self) -> str:
-        if self.kind == "disc":
-            return "disc"
-        if self.kind == "hilbert":
-            return f"hilbert:{self.dims[0]}"
-        return f"matrix:{self.dims[0]}x{self.dims[1]}"
+        if self.q == 1:
+            return "disc" if self.p == 1 else f"hilbert:{self.p}"
+        return f"matrix:{self.p}x{self.q}"
 
     def __str__(self):
         return self.descriptor()
 
 
 def disc() -> TripleModel:
-    return TripleModel("disc")
+    return TripleModel(1, 1)
 
 
 def hilbert(n: int) -> TripleModel:
-    return TripleModel("hilbert", (n,))
+    return TripleModel(n, 1)
 
 
 def matrix(p: int, q: int) -> TripleModel:
-    return TripleModel("matrix", (p, q))
+    return TripleModel(p, q)
 
 
 def parse_model(text: str) -> TripleModel:
@@ -94,8 +92,7 @@ def parse_model(text: str) -> TripleModel:
         except ValueError:
             raise UsageError(f"bad hilbert descriptor {text!r}, expected hilbert:N")
     if t.startswith("matrix:"):
-        dims = t.split(":", 1)[1]
-        parts = dims.split("x")
+        parts = t.split(":", 1)[1].split("x")
         if len(parts) == 2:
             try:
                 return matrix(int(parts[0]), int(parts[1]))
@@ -126,10 +123,8 @@ class TripleElement:
         object.__setattr__(self, "coords", c)
 
     def as_matrix(self) -> np.ndarray:
-        """Matrix-model elements reshaped to (p, q); identity elsewhere."""
-        if self.model.kind == "matrix":
-            return self.coords.reshape(self.model.dims)
-        return self.coords.reshape(-1, 1)
+        """The coordinates reshaped to the model's (p, q)."""
+        return self.coords.reshape(self.model.shape)
 
     def __neg__(self) -> "TripleElement":
         return TripleElement(self.model, -self.coords)
@@ -175,68 +170,47 @@ def _require_same_model(*xs: TripleElement) -> TripleModel:
 def triple_product(x: TripleElement, y: TripleElement, z: TripleElement) -> TripleElement:
     """{x, y, z}: linear and symmetric in x, z; conjugate-linear in y."""
     m = _require_same_model(x, y, z)
-    if m.kind == "matrix":
-        xm, ym, zm = x.as_matrix(), y.as_matrix(), z.as_matrix()
-        ystar = ym.conj().T
-        out = 0.5 * (xm @ ystar @ zm + zm @ ystar @ xm)
-        return TripleElement(m, out.reshape(-1))
-    # disc is hilbert(1)
-    ip_xy = np.vdot(y.coords, x.coords)
-    ip_zy = np.vdot(y.coords, z.coords)
-    return TripleElement(m, 0.5 * (ip_xy * z.coords + ip_zy * x.coords))
+    xm, ym, zm = x.as_matrix(), y.as_matrix(), z.as_matrix()
+    ystar = ym.conj().T
+    out = 0.5 * (xm @ ystar @ zm + zm @ ystar @ xm)
+    return TripleElement(m, out.reshape(-1))
 
 
 def triple_norm(x: TripleElement) -> float:
-    """The norm each model carries: modulus, euclidean, or spectral."""
-    if x.model.kind == "matrix":
-        return float(np.linalg.norm(x.as_matrix(), 2))
-    return float(np.linalg.norm(x.coords))
+    """Largest singular value; the coordinates' euclidean norm on a row or column."""
+    if x.model.norm_kind == "euclidean":
+        return float(np.linalg.norm(x.coords))
+    return float(np.linalg.norm(x.as_matrix(), 2))
 
 
 def triple_norm_batch(model: TripleModel, coords: np.ndarray) -> np.ndarray:
     """Vectorized triple_norm over rows of an (n, coord_dim) array."""
     coords = np.asarray(coords, dtype=np.complex128)
-    if model.kind == "matrix":
-        p, q = model.dims
-        sv = np.linalg.svd(coords.reshape(-1, p, q), compute_uv=False)
-        return sv[:, 0]
-    return np.linalg.norm(coords, axis=1)
+    if model.norm_kind == "euclidean":
+        return np.linalg.norm(coords, axis=1)
+    return np.linalg.svd(coords.reshape(-1, *model.shape), compute_uv=False)[:, 0]
 
 
 def box_rep(x: TripleElement, y: TripleElement) -> CMatrix:
     """Matrix of the linear operator z -> {x, y, z} in the canonical basis."""
     m = _require_same_model(x, y)
-    d = m.coord_dim
-    cols = np.empty((d, d), dtype=np.complex128)
-    for j in range(d):
-        cols[:, j] = triple_product(x, y, basis_element(m, j)).coords
-    return CMatrix(d, d, cols)
+    return CMatrix.from_array(box_rep_batch(m, x.coords[None], y)[0])
 
 
 def box_rep_batch(model: TripleModel, xs: np.ndarray, y: TripleElement) -> np.ndarray:
-    """Closed-form box matrices for many left arguments at once.
+    """Box matrices for many left arguments at once.
 
-    Returns an (n, d, d) array whose k-th slab is box_rep(xs[k], y).
-    Same matrices as the basis route, built without a Python loop.
+    Returns an (n, d, d) array whose k-th slab is box_rep(xs[k], y):
+    2 x [] y = (X Y* kron I) + (I kron (Y* X)^T) in row-major coordinates.
     """
-    xs = np.asarray(xs, dtype=np.complex128)
-    d = model.coord_dim
-    if model.kind == "matrix":
-        p, q = model.dims
-        xm = xs.reshape(-1, p, q)
-        ystar = y.as_matrix().conj().T
-        left = xm @ ystar                       # (n, p, p)
-        right = ystar @ xm                      # (n, q, q)
-        eye_p = np.eye(p, dtype=np.complex128)
-        eye_q = np.eye(q, dtype=np.complex128)
-        # row-major vec: vec(A Z) = (A kron I) vec Z, vec(Z B) = (I kron B^T) vec Z
-        term1 = np.einsum("nij,kl->nikjl", left, eye_q).reshape(-1, d, d)
-        term2 = np.einsum("ij,nlk->nikjl", eye_p, right).reshape(-1, d, d)
-        return 0.5 * (term1 + term2)
-    ip = xs @ y.coords.conj()                   # (x_k | y)
-    eye = np.eye(d, dtype=np.complex128)
-    outer = xs[:, :, None] * y.coords.conj()[None, None, :]
-    return 0.5 * (ip[:, None, None] * eye[None, :, :] + outer)
+    p, q = model.shape
+    xm = np.asarray(xs, dtype=np.complex128).reshape(-1, p, q)
+    yh = 0.5 * y.as_matrix().conj()
+    out = np.zeros((len(xm), p, q, p, q), dtype=np.complex128)
+    # writable diagonal views: out[n, i, j, k, j] and out[n, i, j, i, l]
+    np.einsum("nijkj->nijk", out)[...] = np.einsum("nij,kj->nik", xm, yh)[:, :, None, :]
+    np.einsum("nijil->nijl", out)[...] += np.einsum("nkj,kl->njl", xm, yh)[:, None]
+    return out.reshape(-1, p * q, p * q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,29 +226,28 @@ class AntilinearRep:
 def quadratic_rep(x: TripleElement) -> AntilinearRep:
     """Q_x: z -> {x, z, x}, conjugate-linear.
 
-    Columns are {x, e_j, x} over the canonical basis, so applying the stored
-    matrix to conj(z) reproduces the triple product for every z.
+    {x, z, x} = X Z* X, whose (i, l) entry is sum_kj X_ij conj(Z_kj) X_kl, so
+    the stored matrix has entry X_ij X_kl at row (i, l) and column (k, j).
     """
-    m = x.model
-    d = m.coord_dim
-    cols = np.empty((d, d), dtype=np.complex128)
-    for j in range(d):
-        cols[:, j] = triple_product(x, basis_element(m, j), x).coords
-    return AntilinearRep(CMatrix(d, d, cols))
+    xm = x.as_matrix()
+    d = x.model.coord_dim
+    return AntilinearRep(CMatrix.from_array(np.einsum("ij,kl->ilkj", xm, xm).reshape(d, d)))
 
 
 def bergman_rep(x: TripleElement, y: TripleElement) -> CMatrix:
     """B(x, y) = id - 2 x [] y + Q_x Q_y as a plain (linear) matrix.
 
-    Q_x Q_y is linear; its matrix is M_x conj(M_y) for the stored parts.
+    B(x, y) z = (I - X Y*) Z (I - Y* X), so its matrix is
+    (I - X Y*) kron (I - Y* X)^T.
     """
     m = _require_same_model(x, y)
+    xm = x.as_matrix()
+    ystar = y.as_matrix().conj().T
+    left = np.eye(m.p) - xm @ ystar
+    right = np.eye(m.q) - ystar @ xm
+    # the Kronecker product above, without np.kron's per-call overhead
     d = m.coord_dim
-    eye = np.eye(d, dtype=np.complex128)
-    qx = quadratic_rep(x).matrix.entries
-    qy = quadratic_rep(y).matrix.entries
-    b = eye - 2.0 * box_rep(x, y).entries + qx @ np.conj(qy)
-    return CMatrix(d, d, b)
+    return CMatrix.from_array(np.einsum("ik,lj->ijkl", left, right).reshape(d, d))
 
 
 def bergman_sqrt(a: TripleElement, rtol: float = 1e-10) -> CMatrix:
@@ -327,7 +300,7 @@ def op_norm_triple(
     """sup ||op x|| / ||x|| over the model's triple norm."""
     if op.shape != (model.coord_dim, model.coord_dim):
         raise UsageError(f"operator shape {op.shape} does not match {model}")
-    if model.norm_kind in ("modulus", "euclidean"):
+    if model.norm_kind == "euclidean":
         # triple norm is euclidean on coordinates, so the sup is the largest
         # singular value and the top right singular vector attains it
         u, s, vh = np.linalg.svd(op.entries)

@@ -101,8 +101,6 @@ def test_cmatrix_arithmetic():
     b = CMatrix.identity(2)
     assert np.allclose((a - b).entries, [[0, 2], [3, 3]])
     assert np.allclose((a @ b).entries, a.entries)
-    assert np.allclose((2.0 * b).entries, 2 * np.eye(2))
-    assert np.allclose(a.conj_t().entries, a.entries.conj().T)
 
 
 def test_cmatrix_entries_read_only():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from triple_lab.errors import DomainError
+from triple_lab.errors import DomainError, UsageError
 from triple_lab.mobius import (
     mobius_apply,
     mobius_apply_batch,
@@ -81,6 +81,15 @@ def test_batch_matches_single():
         for i in range(16):
             single = mobius_apply(g, element(m, xs[i])).coords
             assert np.linalg.norm(batch[i] - single) <= 1e-12, name
+
+
+def test_batch_rejects_non_finite_rows():
+    # NaN slips past a norm gate (NaN >= 1 is False); the single path raises
+    m = parse_model("hilbert:2")
+    g = mobius_map(element(m, [0.3, 0.1]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(UsageError):
+            mobius_apply_batch(g, np.array([[bad, 0.1], [0.2, 0.0]]))
 
 
 def test_series_converges_with_tail_bound():

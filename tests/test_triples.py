@@ -24,6 +24,23 @@ from triple_lab.triples import (
 )
 
 ALL_MODELS = ["disc", "hilbert:2", "hilbert:3", "matrix:2x2", "matrix:2x3"]
+# shapes the closed-form operators are checked on against the basis oracle
+ORACLE_MODELS = ALL_MODELS + ["hilbert:5", "matrix:3x2", "matrix:1x3"]
+
+
+def _columns(model, column):
+    """The matrix whose j-th column is column(e_j), e_j the j-th basis element."""
+    return np.stack([column(basis_element(model, j)).coords
+                     for j in range(model.coord_dim)], axis=1)
+
+
+def _box_oracle(x, y):
+    return _columns(x.model, lambda e: triple_product(x, y, e))
+
+
+def _quadratic_oracle(x):
+    # Q_x is conjugate-linear, so its stored matrix has columns Q_x e_j
+    return _columns(x.model, lambda e: triple_product(x, e, x))
 
 
 def test_parse_model_descriptors():
@@ -64,16 +81,22 @@ def test_hilbert_bergman_spectrum_example():
 
 
 def test_matrix_bergman_closed_form():
-    # B(x,y) z = (1 - x y*) z (1 - y* x): check the matrix of the map
-    m = parse_model("matrix:2x3")
-    rng = stream(3, 1)
-    x = sample_element(m, rng, norm=0.6)
-    y = sample_element(m, rng, norm=0.5)
-    xm, ym = x.as_matrix(), y.as_matrix()
-    left = np.eye(2) - xm @ ym.conj().T
-    right = np.eye(3) - ym.conj().T @ xm
-    expect = np.kron(left, right.T)
-    assert np.linalg.norm(bergman_rep(x, y).entries - expect) <= 1e-13
+    # B(x,y) z = (1 - x y*) z (1 - y* x), and B(x,y) = I - 2 x [] y + Q_x Q_y
+    for name in ORACLE_MODELS:
+        m = parse_model(name)
+        rng = stream(3, 1)
+        x = sample_element(m, rng, norm=0.6)
+        y = sample_element(m, rng, norm=0.5)
+        xm, ym = x.as_matrix(), y.as_matrix()
+        p, q = xm.shape
+        left = np.eye(p) - xm @ ym.conj().T
+        right = np.eye(q) - ym.conj().T @ xm
+        expect = np.kron(left, right.T)
+        got = bergman_rep(x, y).entries
+        assert np.linalg.norm(got - expect) <= 1e-13, name
+        defining = (np.eye(m.coord_dim) - 2.0 * _box_oracle(x, y)
+                    + _quadratic_oracle(x) @ np.conj(_quadratic_oracle(y)))
+        assert np.linalg.norm(got - defining) <= 1e-13, name
 
 
 def test_outer_symmetry_is_bitwise():
@@ -88,23 +111,26 @@ def test_outer_symmetry_is_bitwise():
 
 
 def test_box_batch_matches_basis_route():
-    for name in ALL_MODELS:
+    for name in ORACLE_MODELS:
         m = parse_model(name)
         rng = stream(5, 2)
         xs = sample_coords(m, 8, rng)
         y = sample_element(m, rng)
         batch = box_rep_batch(m, xs, y)
         for i in range(8):
-            single = box_rep(element(m, xs[i]), y).entries
-            assert np.linalg.norm(batch[i] - single) <= 1e-13, name
+            x = element(m, xs[i])
+            oracle = _box_oracle(x, y)
+            assert np.linalg.norm(batch[i] - oracle) <= 1e-13, name
+            assert np.linalg.norm(box_rep(x, y).entries - oracle) <= 1e-13, name
 
 
 def test_quadratic_rep_agrees_with_triple_product():
-    for name in ALL_MODELS:
+    for name in ORACLE_MODELS:
         m = parse_model(name)
         rng = stream(9, 4)
         x = sample_element(m, rng)
         q = quadratic_rep(x)
+        assert np.linalg.norm(q.matrix.entries - _quadratic_oracle(x)) <= 1e-13, name
         for _ in range(100):
             z = sample_element(m, rng)
             via_q = q.apply(z.coords)
