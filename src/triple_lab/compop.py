@@ -11,7 +11,10 @@ r_k = 1 - 2^-k. Two denominators are tracked: the raw weight vZ (a lower
 bound of assoc(vZ), so the ratio is an upper bound and "continuous"
 verdicts stay conservative) and the certified associated-weight envelope
 (a secondary diagnostic; the polynomial estimators saturate at deep shells
-for fast-decaying weights, so it never drives the verdict by itself).
+for fast-decaying weights, so it never drives the verdict by itself; its LPs
+are paid only by a caller that passes an estimate, and without one the
+secondary trend is NaN). Both denominators are non-increasing in r (vZ when
+vZ.non_increasing), so a shell evaluates them at its largest image norm.
 
 The global theorem route: if vZ dominates vX up to a constant along equal
 norms and the boundary doubling of vZ is bounded, EVERY composition
@@ -30,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidMapError, NumericalFailureError, UsageError
 from .linalg import CMatrix
-from .mobius import MobiusMap, mobius_apply, mobius_apply_batch, mobius_map
+from .mobius import MobiusMap, mobius_apply_batch, mobius_map
 from .sampling import SamplingBudget, stream
 from .triples import (
     TripleElement,
@@ -48,6 +51,7 @@ from .weights import (
     DoublingReport,
     DominationReport,
     Weight,
+    auto_boundary_source,
     boundary_l,
     build_associated_estimate,
     condition_I_check,
@@ -314,7 +318,8 @@ class ContinuityReport:
     primary_log_trend uses the raw target weight in the denominator (an
     upper bound of the true criterion ratio: conservative toward
     "continuous"); secondary_log_trend uses the certified associated
-    envelope. verdict comes from the primary trend only.
+    envelope passed as assoc_z, and is all NaN when none was passed.
+    verdict comes from the primary trend only.
     """
 
     criterion: str
@@ -410,8 +415,6 @@ def _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0):
             )
     budget = budget or SamplingBudget(samples=2000)
     radii, image_norms, witness_used = _sweep_image_norms(phi, shells, budget)
-    if assoc_z is None:
-        assoc_z = build_associated_estimate(v_z)
 
     log_vx = np.asarray(v_x.log_eval(radii))
     primary = np.full(shells, np.nan)
@@ -420,15 +423,17 @@ def _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0):
     usable = np.zeros(shells, dtype=bool)
     for k in range(shells):
         norms = np.minimum(image_norms[k], 1.0 - 1e-15)
-        maxima[k] = float(np.max(norms))
+        maxima[k] = top = float(np.max(norms))
         if tail_r0 is not None:
             norms = norms[norms > tail_r0]
             if norms.size == 0:
                 continue
         usable[k] = True
-        primary[k] = log_vx[k] - float(np.min(np.asarray(v_z.log_eval(norms))))
-        secondary[k] = log_vx[k] - float(np.min(np.log(np.maximum(
-            assoc_z.evaluate(norms), 1e-300))))
+        # a non-increasing denominator is smallest at the shell's largest norm
+        low = v_z.log_eval(top) if v_z.non_increasing else np.min(v_z.log_eval(norms))
+        primary[k] = log_vx[k] - float(low)
+        if assoc_z is not None:
+            secondary[k] = log_vx[k] - float(np.log(max(assoc_z.evaluate(top), 1e-300)))
 
     notes = ""
     if tail_r0 is not None and not np.any(usable):
@@ -540,8 +545,6 @@ def spot_check_mobius_family(
     for fast-decaying weights they realize the divergence.
     """
     model = model or parse_model("disc")
-    if assoc_z is None:
-        assoc_z = build_associated_estimate(v_z)
     out = []
     for c in center_norms:
         coords = np.zeros(model.coord_dim, dtype=np.complex128)
@@ -613,7 +616,8 @@ def consistency_matrix(
     budget = budget or SamplingBudget(samples=2000)
     rows = []
     for w in weights:
-        assoc = build_associated_estimate(w)
+        reads = auto_boundary_source(w)[0] == "associated-estimate"  # theorem route
+        assoc = build_associated_estimate(w) if reads else None
         thm = theorem_verdict(w, w, assoc_z=assoc)
         reps = tuple(
             criterion_sup_ratio(phi, w, w, assoc_z=assoc, budget=budget, shells=shells)

@@ -41,6 +41,9 @@ class TripleModel:
     q: int
 
     def __post_init__(self):
+        for n in (self.p, self.q):
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise UsageError(f"model dimensions must be integers, got {n!r}")
         p, q = int(self.p), int(self.q)
         if p < 1 or q < 1:
             raise UsageError(f"model dimensions must be >= 1, got ({p}, {q})")

@@ -36,8 +36,6 @@ from .errors import NumericalFailureError, UsageError
 from .sampling import worker_count
 from .simplex import solve_lp_maximize
 
-_FAMILIES = ("power", "expdecay", "constant", "table")
-_VALIDATION_POINTS = 512
 LOG_TINY = -745.0  # below log of the smallest subnormal
 
 
@@ -80,36 +78,21 @@ class Weight:
         return self.descriptor()
 
 
-def _grid_non_increasing(w: Weight) -> bool:
-    g = np.linspace(0.0, 1.0, _VALIDATION_POINTS + 1)[:-1]
-    lv = w.log_eval(g)
-    with np.errstate(invalid="ignore"):  # -inf at zero knots yields NaN diffs
-        return bool(np.all(np.diff(lv) <= 1e-12))
-
-
-def _validate_positive(w: Weight) -> None:
-    g = np.linspace(0.0, 1.0, _VALIDATION_POINTS + 1)[:-1]
-    lv = np.asarray(w.log_eval(g))
-    if np.any(np.isnan(lv)) or np.any(np.isposinf(lv)) or np.any(np.isneginf(lv)):
-        bad = g[~np.isfinite(lv)][0]
-        raise UsageError(f"weight must be positive and finite on [0,1); fails near r={bad:.6g}")
-
-
 def power_weight(alpha: float) -> Weight:
-    if not alpha > 0:
-        raise UsageError(f"power weight needs alpha > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise UsageError(f"power weight needs a finite alpha > 0, got {alpha}")
     return Weight("power", float(alpha))
 
 
 def expdecay_weight(beta: float) -> Weight:
-    if not beta > 0:
-        raise UsageError(f"expdecay weight needs beta > 0, got {beta}")
+    if not 0 < beta < np.inf:
+        raise UsageError(f"expdecay weight needs a finite beta > 0, got {beta}")
     return Weight("expdecay", float(beta))
 
 
 def constant_weight(c: float) -> Weight:
-    if not c > 0:
-        raise UsageError(f"constant weight needs c > 0, got {c}")
+    if not 0 < c < np.inf:
+        raise UsageError(f"constant weight needs a finite c > 0, got {c}")
     return Weight("constant", float(c))
 
 
@@ -122,17 +105,18 @@ def table_weight(knots, validate: bool = True) -> Weight:
     ks = tuple((float(r), float(v)) for r, v in knots)
     if len(ks) < 2:
         raise UsageError("table weight needs at least two knots")
-    rs = np.array([k[0] for k in ks])
+    rs, vs = np.array(ks).T
     if np.any(np.diff(rs) <= 0):
         raise UsageError("table radii must be strictly increasing")
     if rs[0] < 0.0 or rs[-1] >= 1.0:
         raise UsageError("table radii must lie in [0, 1)")
-    if not np.all(np.isfinite([k[1] for k in ks])):
+    if not np.all(np.isfinite(vs)):
         raise UsageError("table values must be finite")
-    w = Weight("table", None, ks, True)
-    if validate:
-        _validate_positive(w)
-    return Weight("table", None, ks, _grid_non_increasing(w))
+    # linear interpolation (held flat past the end knots) is positive and
+    # non-increasing exactly when the knot values are
+    if validate and np.any(vs <= 0.0):
+        raise UsageError(f"table values must be positive, got {vs.min():g}")
+    return Weight("table", None, ks, bool(np.all(np.diff(vs) <= 0.0)))
 
 
 def parse_weight(text: str) -> Weight:
@@ -172,7 +156,7 @@ def _read_table_csv(path: str):
                     if not rows:
                         continue  # header line
                     raise UsageError(f"bad table row {line!r} in {path}")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path, undecodable bytes
         raise UsageError(f"cannot read weight table {path}: {exc}") from exc
     if len(rows) < 2:
         raise UsageError(f"weight table {path} needs at least two data rows")
@@ -201,6 +185,8 @@ def condition_I_check(
     if any(not 0.0 < r < 1.0 for r in radii):
         raise UsageError("probe radii must lie in (0, 1)")
     g = np.linspace(0.0, radii[-1], grid)
+    if w.knots:  # a table's zeros sit at its knots, which a grid can miss
+        g = np.union1d(g, [k for k, _ in w.knots if k <= radii[-1]])
     # positivity is decided in log space: fast-decaying weights underflow
     # float64 well inside (0, 1) yet remain strictly positive
     logs = np.asarray(w.log_eval(g), dtype=np.float64)
@@ -496,6 +482,15 @@ class BoundaryFunction:
             raise UsageError("boundary function must be finite and positive")
 
 
+def auto_boundary_source(w: Weight) -> tuple[str, str]:
+    """(source, label) that boundary_l(w, source="auto") uses for w's family."""
+    if w.family in ("power", "constant"):
+        return "raw-weight", f"raw-weight (exact: assoc = v for {w.family})"
+    if w.family == "expdecay":
+        return "raw-weight", "raw-weight (proxy: envelope saturates at depth)"
+    return "associated-estimate", "associated-estimate (depth capped)"
+
+
 def boundary_l(
     w: Weight | None = None,
     source: str = "auto",
@@ -529,12 +524,7 @@ def boundary_l(
     if k_max < 2:
         raise UsageError("k_max must be >= 2")
     if source == "auto":
-        if w.family in ("power", "constant"):
-            source, label = "raw-weight", f"raw-weight (exact: assoc = v for {w.family})"
-        elif w.family == "expdecay":
-            source, label = "raw-weight", "raw-weight (proxy: envelope saturates at depth)"
-        else:
-            source, label = "associated-estimate", "associated-estimate (depth capped)"
+        source, label = auto_boundary_source(w)
     else:
         label = source
     s = 2.0 ** -np.arange(1.0, k_max + 1.0)

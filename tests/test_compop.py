@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from triple_lab import compop
 from triple_lab.compop import (
+    _sweep_image_norms,
     builtin_maps,
     compose_maps,
+    consistency_matrix,
     criterion_sup_ratio,
     criterion_tail,
     identity_map,
@@ -199,3 +202,110 @@ def test_map_output_validated():
                   matrix=CMatrix.from_array(np.array([[2.0]], dtype=complex)))
     with pytest.raises(InvalidMapError):
         map_apply(bad, element(DISC, [0.9]))
+
+
+def _full_shell_trends(phi, v_x, v_z, assoc, budget, shells, r0=None):
+    """Per-shell minima over every image norm: the route before the shortcut."""
+    radii, image_norms, _ = _sweep_image_norms(phi, shells, budget)
+    log_vx = np.asarray(v_x.log_eval(radii))
+    primary = np.full(shells, np.nan)
+    secondary = np.full(shells, np.nan)
+    for k in range(shells):
+        norms = np.minimum(image_norms[k], 1.0 - 1e-15)
+        if r0 is not None:
+            norms = norms[norms > r0]
+            if norms.size == 0:
+                continue
+        primary[k] = log_vx[k] - np.min(v_z.log_eval(norms))
+        secondary[k] = log_vx[k] - np.min(np.log(np.maximum(assoc.evaluate(norms), 1e-300)))
+    return primary, secondary
+
+
+def _criterion_report(phi, w, r0, assoc, budget):
+    if r0 is None:
+        return criterion_sup_ratio(phi, w, w, assoc_z=assoc, budget=budget)
+    return criterion_tail(phi, w, w, r0=r0, assoc_z=assoc, budget=budget)
+
+
+RISING_TABLE = ((0.0, 1.0), (0.3001, 0.5), (0.3003, 0.6), (0.3005, 0.5), (0.9, 0.1))
+
+
+def test_shell_max_shortcut_matches_full_minima(assoc_power1, assoc_exp05):
+    cases = [
+        (power_weight(1.0), assoc_power1),
+        (expdecay_weight(0.5), assoc_exp05),
+    ]
+    for w in (constant_weight(1.0),
+              table_weight(((0.0, 1.0), (0.3, 0.8), (0.7, 0.4), (0.95, 0.1))),
+              table_weight(RISING_TABLE)):
+        cases.append((w, build_associated_estimate(w, radii=(0.5, 0.9))))
+    assert not cases[-1][0].non_increasing
+    budget = SamplingBudget(samples=300, seed=9)
+    maps = (parse_map("mobius:0.6", DISC), parse_map("compose:[pow:2; mobius:0.4]", DISC))
+    for w, assoc in cases:
+        for phi in maps:
+            for r0 in (None, 0.9):
+                rep = _criterion_report(phi, w, r0, assoc, budget)
+                primary, secondary = _full_shell_trends(phi, w, w, assoc, budget, 8, r0)
+                where = f"{w} {phi.label} r0={r0}"
+                assert np.array_equal(rep.primary_log_trend, primary, equal_nan=True), where
+                assert np.array_equal(rep.secondary_log_trend, secondary, equal_nan=True), where
+                # without an estimate only the secondary trend goes
+                bare = _criterion_report(phi, w, r0, None, budget)
+                assert np.all(np.isnan(bare.secondary_log_trend)), where
+                assert np.array_equal(bare.primary_log_trend, primary, equal_nan=True), where
+                assert bare.verdict == rep.verdict, where
+
+
+def _counting_builds(monkeypatch):
+    """Route compop's envelope builds through a counter; each build is a cheap
+    two-radius estimate, so the test pays no default-grid LPs."""
+    calls = []
+
+    def counting(w, *args, **kwargs):
+        calls.append((w, args, kwargs))
+        return build_associated_estimate(w, radii=(0.5, 0.9))
+
+    monkeypatch.setattr(compop, "build_associated_estimate", counting)
+    return calls
+
+
+def test_consistency_matrix_builds_envelope_only_for_table_weights(
+        monkeypatch, assoc_power1, assoc_exp05):
+    budget = SamplingBudget(samples=200, seed=3)
+    maps = builtin_maps(DISC)
+    calls = _counting_builds(monkeypatch)
+    known = {"power:1": assoc_power1, "expdecay:0.5": assoc_exp05}
+    ws = (power_weight(1.0), constant_weight(1.0), expdecay_weight(0.5))
+    rows = consistency_matrix(model=DISC, weights=ws, maps=maps, budget=budget)
+    assert calls == []
+    for w, row in zip(ws, rows):
+        assoc = known.get(w.descriptor()) or build_associated_estimate(w, radii=(0.5, 0.9))
+        assert row.theorem.verdict == theorem_verdict(w, w, assoc_z=assoc).verdict
+        for phi, rep in zip(maps, row.map_reports):
+            ref = criterion_sup_ratio(phi, w, w, assoc_z=assoc, budget=budget)
+            assert rep.verdict == ref.verdict, (w, phi.label)
+            assert np.array_equal(rep.primary_log_trend, ref.primary_log_trend, equal_nan=True)
+            assert np.all(np.isnan(rep.secondary_log_trend))
+
+    table = table_weight(((0.0, 1.0), (0.3, 0.8), (0.7, 0.4), (0.95, 0.1)))
+    (row,) = consistency_matrix(model=DISC, weights=(table,), maps=maps, budget=budget)
+    assert len(calls) == 1 and calls[0] == (table, (), {})
+    assoc = build_associated_estimate(table, radii=(0.5, 0.9))
+    thm = theorem_verdict(table, table, assoc_z=assoc)
+    assert row.theorem.verdict == thm.verdict
+    assert np.array_equal(row.theorem.boundary.log_l, thm.boundary.log_l)
+    for phi, rep in zip(maps, row.map_reports):
+        ref = criterion_sup_ratio(phi, table, table, assoc_z=assoc, budget=budget)
+        for name in ("image_maxima", "primary_log_trend", "secondary_log_trend", "trend"):
+            assert np.array_equal(getattr(rep, name), getattr(ref, name), equal_nan=True)
+        assert not np.all(np.isnan(rep.secondary_log_trend))
+        assert (rep.verdict, rep.sup_estimate) == (ref.verdict, ref.sup_estimate)
+
+
+def test_spot_check_builds_no_envelope(monkeypatch):
+    calls = _counting_builds(monkeypatch)
+    reports = spot_check_mobius_family(power_weight(1.0), center_norms=(0.4,),
+                                       budget=SamplingBudget(samples=200, seed=7))
+    assert calls == []
+    assert all(np.all(np.isnan(rep.secondary_log_trend)) for _, rep in reports)

@@ -1,0 +1,86 @@
+"""Parsers and constructors on arbitrary input: a valid object or UsageError.
+
+Any other exception escaping from text or numbers a user can supply would
+reach the CLI as a crash instead of exit code 2.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from triple_lab.errors import UsageError
+from triple_lab.triples import TripleModel, hilbert, matrix, parse_model
+from triple_lab.weights import Weight, parse_weight
+
+FUZZ = settings(max_examples=150, deadline=None)
+
+NUMBERS = st.one_of(
+    st.integers(-3, 8),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.integers(-3, 8).map(np.int64),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+def _model_text():
+    dims = st.one_of(st.integers(-2, 6).map(str), st.text(max_size=4))
+    return st.one_of(
+        st.text(max_size=12),
+        st.builds(lambda n: f"hilbert:{n}", dims),
+        st.builds(lambda p, q: f"matrix:{p}x{q}", dims, dims),
+        st.sampled_from(["disc", " DISC ", "hilbert:", "matrix:x", "matrix:2x3x4"]),
+    )
+
+
+def _weight_text():
+    number = st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.sampled_from(["inf", "-inf", "nan", "1e999", "0", "-0", "1_0", "0x1"]),
+        st.text(max_size=6),
+    )
+    head = st.sampled_from(["power", "expdecay", "constant", "POWER", "table", "wat", ""])
+    return st.one_of(st.text(max_size=16), st.builds(lambda h, n: f"{h}:{n}", head, number))
+
+
+def _valid_model(m):
+    assert isinstance(m, TripleModel)
+    assert type(m.p) is int and type(m.q) is int and m.p >= 1 and m.q >= 1
+
+
+@FUZZ
+@given(_model_text())
+def test_parse_model_fuzz(text):
+    try:
+        m = parse_model(text)
+    except UsageError:
+        return
+    _valid_model(m)
+
+
+@FUZZ
+@given(NUMBERS, NUMBERS)
+def test_model_constructors_fuzz(p, q):
+    for build in (lambda: hilbert(p), lambda: matrix(p, q)):
+        try:
+            m = build()
+        except UsageError:
+            continue
+        _valid_model(m)
+
+
+@FUZZ
+@given(_weight_text())
+def test_parse_weight_fuzz(text):
+    try:
+        w = parse_weight(text)
+    except UsageError:
+        return
+    assert isinstance(w, Weight)
+    if w.family == "table":
+        assert all(v > 0 for _, v in w.knots)
+    else:
+        assert math.isfinite(w.param) and w.param > 0
+        assert np.isfinite(w.log_eval(0.5))

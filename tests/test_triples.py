@@ -12,6 +12,8 @@ from triple_lab.triples import (
     box_rep,
     box_rep_batch,
     element,
+    hilbert,
+    matrix,
     op_norm_triple,
     parse_model,
     quadratic_rep,
@@ -50,6 +52,15 @@ def test_parse_model_descriptors():
     for bad in ("hilbert:0", "matrix:2x0", "wedge", "matrix:ab"):
         with pytest.raises(UsageError):
             parse_model(bad)
+
+
+def test_model_dimensions_must_be_integers():
+    assert hilbert(np.int64(3)) == parse_model("hilbert:3")
+    assert matrix(2, np.int32(3)).shape == (2, 3)
+    for bad in (lambda: hilbert(2.5), lambda: hilbert(3.0), lambda: matrix(True, 3),
+                lambda: matrix(2, 3.9), lambda: hilbert(float("nan")), lambda: hilbert("3")):
+        with pytest.raises(UsageError):
+            bad()
 
 
 def test_matrix_unit_triple_product():

@@ -51,6 +51,27 @@ def test_table_weight_interpolates():
         table_weight(((0.0, 1.0), (0.5, 0.0)))  # zero value blocked by default
 
 
+def test_table_shape_decided_from_knots():
+    # a rise of 0.1 over 0.0002 in r falls between the points of any coarse grid
+    rising = table_weight(((0.0, 1.0), (0.3001, 0.5), (0.3003, 0.6), (0.3005, 0.5), (0.9, 0.1)))
+    assert not rising.non_increasing
+    assert table_weight(((0.0, 1.0), (0.4, 1.0), (0.9, 0.2))).non_increasing
+
+
+def test_table_zero_between_grid_points_rejected():
+    knots = ((0.0, 1.0), (0.3003, 0.0), (0.9, 0.5))
+    with pytest.raises(UsageError):
+        table_weight(knots)
+    rep = condition_I_check(table_weight(knots, validate=False))
+    assert not rep.passed and rep.offending_radius == 0.3003
+
+
+def test_weight_parameters_must_be_finite():
+    for bad in ("power:inf", "expdecay:inf", "constant:inf", "power:nan", "constant:-inf"):
+        with pytest.raises(UsageError):
+            parse_weight(bad)
+
+
 def test_condition_I():
     assert condition_I_check(power_weight(2.0)).passed
     assert condition_I_check(expdecay_weight(1.0)).passed  # underflows but positive
