@@ -13,8 +13,8 @@ verdicts stay conservative) and the certified associated-weight envelope
 (a secondary diagnostic; the polynomial estimators saturate at deep shells
 for fast-decaying weights, so it never drives the verdict by itself; its LPs
 are paid only by a caller that passes an estimate, and without one the
-secondary trend is NaN). Both denominators are non-increasing in r (vZ when
-vZ.non_increasing), so a shell evaluates them at its largest image norm.
+secondary trend is NaN; the envelope is non-increasing in r, so a shell
+evaluates it at its largest image norm only).
 
 The global theorem route: if vZ dominates vX up to a constant along equal
 norms and the boundary doubling of vZ is bounded, EVERY composition
@@ -429,10 +429,8 @@ def _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0):
             if norms.size == 0:
                 continue
         usable[k] = True
-        # a non-increasing denominator is smallest at the shell's largest norm
-        low = v_z.log_eval(top) if v_z.non_increasing else np.min(v_z.log_eval(norms))
-        primary[k] = log_vx[k] - float(low)
-        if assoc_z is not None:
+        primary[k] = log_vx[k] - float(np.min(np.asarray(v_z.log_eval(norms))))
+        if assoc_z is not None:  # the envelope is smallest at the shell's largest norm
             secondary[k] = log_vx[k] - float(np.log(max(assoc_z.evaluate(top), 1e-300)))
 
     notes = ""
@@ -616,7 +614,8 @@ def consistency_matrix(
     budget = budget or SamplingBudget(samples=2000)
     rows = []
     for w in weights:
-        reads = auto_boundary_source(w)[0] == "associated-estimate"  # theorem route
+        # theorem_verdict reads an estimate only past its non_increasing gate
+        reads = w.non_increasing and auto_boundary_source(w)[0] == "associated-estimate"
         assoc = build_associated_estimate(w) if reads else None
         thm = theorem_verdict(w, w, assoc_z=assoc)
         reps = tuple(

@@ -106,12 +106,12 @@ def table_weight(knots, validate: bool = True) -> Weight:
     if len(ks) < 2:
         raise UsageError("table weight needs at least two knots")
     rs, vs = np.array(ks).T
+    if not np.all(np.isfinite(ks)):
+        raise UsageError("table radii and values must be finite")
     if np.any(np.diff(rs) <= 0):
         raise UsageError("table radii must be strictly increasing")
     if rs[0] < 0.0 or rs[-1] >= 1.0:
         raise UsageError("table radii must lie in [0, 1)")
-    if not np.all(np.isfinite(vs)):
-        raise UsageError("table values must be finite")
     # linear interpolation (held flat past the end knots) is positive and
     # non-increasing exactly when the knot values are
     if validate and np.any(vs <= 0.0):

@@ -302,6 +302,12 @@ def test_consistency_matrix_builds_envelope_only_for_table_weights(
         assert not np.all(np.isnan(rep.secondary_log_trend))
         assert (rep.verdict, rep.sup_estimate) == (ref.verdict, ref.sup_estimate)
 
+    # a rising table stops at the theorem's non_increasing gate, so nothing reads an envelope
+    (row,) = consistency_matrix(model=DISC, weights=(table_weight(RISING_TABLE),),
+                                maps=maps[:1], budget=budget)
+    assert len(calls) == 1 and row.theorem.verdict == "inapplicable"
+    assert np.all(np.isnan(row.map_reports[0].secondary_log_trend))
+
 
 def test_spot_check_builds_no_envelope(monkeypatch):
     calls = _counting_builds(monkeypatch)

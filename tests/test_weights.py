@@ -49,6 +49,11 @@ def test_table_weight_interpolates():
         table_weight(((0.5, 1.0), (0.5, 0.9)))
     with pytest.raises(UsageError):
         table_weight(((0.0, 1.0), (0.5, 0.0)))  # zero value blocked by default
+    for bad in (((0.0, 1.0), (float("nan"), 0.5)),
+                ((0.0, 1.0), (float("nan"), 0.7), (0.5, 0.5)),
+                ((0.0, 1.0), (0.5, float("inf")))):
+        with pytest.raises(UsageError):
+            table_weight(bad)
 
 
 def test_table_shape_decided_from_knots():
