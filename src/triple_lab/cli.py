@@ -454,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(ns.config, "r", encoding="utf-8") as fh:
                     cfg = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # JSON errors, NUL in path, undecodable bytes
                 raise UsageError(f"cannot read config {ns.config}: {exc}")
             if not isinstance(cfg, dict):
                 raise UsageError(f"config {ns.config} must hold a JSON object")

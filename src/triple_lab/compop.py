@@ -201,12 +201,12 @@ def _read_matrix_csv(path: str, dim: int) -> CMatrix:
                     rows.append([complex(p.strip().replace(" ", "")) for p in line.split(",")])
                 except ValueError:
                     raise UsageError(f"bad matrix row {line!r} in {path}")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL in path, undecodable bytes
         raise UsageError(f"cannot read matrix {path}: {exc}") from exc
-    m = np.array(rows, dtype=np.complex128)
-    if m.shape != (dim, dim):
-        raise UsageError(f"matrix in {path} has shape {m.shape}, expected ({dim},{dim})")
-    return CMatrix.from_array(m)
+    if len(rows) != dim or any(len(row) != dim for row in rows):
+        raise UsageError(f"matrix in {path} has row lengths {[len(r) for r in rows]}, "
+                         f"expected {dim}x{dim}")
+    return CMatrix.from_array(rows)
 
 
 def map_apply(phi: HoloMap, x: TripleElement) -> TripleElement:

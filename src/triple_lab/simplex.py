@@ -13,6 +13,10 @@ row-operation roundoff never accumulates into the answer: final solutions
 satisfy their active constraints to machine precision instead of drifting
 by 1e-6 after a few hundred pivots, which a carried tableau demonstrably
 does on monomial-basis problems.
+
+Stopping rule: optimal once no reduced cost is below -tol * max(1, |objective|).
+Reduced costs carry roundoff in proportion to the objective; an absolute
+threshold can sit below that noise, and Bland's rule then pivots on it forever.
 """
 
 from __future__ import annotations
@@ -78,11 +82,11 @@ def solve_lp_maximize(
     last_obj = t[-1, -1]
     while True:
         reduced = t[-1, :-1]
-        neg = np.flatnonzero(reduced < -tol)
+        neg = np.flatnonzero(reduced < -tol * max(1.0, abs(t[-1, -1])))
         if neg.size == 0:
             t = build(basis)  # optimality must hold on clean numbers
             reduced = t[-1, :-1]
-            neg = np.flatnonzero(reduced < -tol)
+            neg = np.flatnonzero(reduced < -tol * max(1.0, abs(t[-1, -1])))
             if neg.size == 0:
                 break
         if it >= max_iter:

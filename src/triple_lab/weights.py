@@ -9,7 +9,8 @@ and is generally not computable in closed form, so this module produces
 certified UPPER bounds for it from two sides:
 
   * monomial envelope  min_n M_n / r^n  with moments M_n = sup_s v(s) s^n,
-    valid for every n because s^n / M_n is a competitor of v-norm <= 1;
+    valid for every n because s^n / M_n is a competitor of v-norm <= 1; M_n
+    comes in closed form from the maximizers of v(s) s^n, exact to rounding;
   * an LP envelope: maximize p(r) over polynomials p with non-negative
     coefficients subject to v(s) p(s) <= 1 on a grid, validated on a finer
     grid with cutting-plane repair, then 1 / p(r) bounds assoc(v)(r).
@@ -25,12 +26,10 @@ float64 long before the geometric shell grid bottoms out.
 
 from __future__ import annotations
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NumericalFailureError, UsageError
 from .sampling import worker_count
@@ -41,7 +40,7 @@ LOG_TINY = -745.0  # below log of the smallest subnormal
 
 @dataclass(frozen=True)
 class Weight:
-    """Radial weight; hashable so moment tables can be cached per weight."""
+    """Radial weight: a family with its parameter, or a table of knots."""
 
     family: str
     param: float | None = None
@@ -203,61 +202,54 @@ def condition_I_check(
     return ConditionIReport(passed, tuple(minima), offending)
 
 
-# moment grid: uniform bulk plus a geometric cluster near 1 where the
-# maximizers of v(s) s^n accumulate
-@functools.lru_cache(maxsize=64)
-def _moment_grid() -> np.ndarray:
-    uniform = np.linspace(0.0, 1.0, 2049)[:-1]
-    tail = 1.0 - 2.0 ** -np.linspace(1.0, 40.0, 160)
-    return np.unique(np.concatenate([uniform, tail]))
+def _moment_points(w: Weight, ns: np.ndarray) -> np.ndarray:
+    """Candidate maximizers of v(s) s^n in [0, 1], one row per order n.
+
+    Each row contains the maximizer: the stationary point of the family, or
+    for a table its knots, the clipped stationary point of (c + d s) s^n on
+    each piece, and s = 1 for the flat tail (a sup approached, not attained).
+    """
+    n = ns[:, None].astype(np.float64)
+    if w.family == "power":  # s^2 = n / (n + 2 alpha), kept below 1 for tiny alpha
+        return np.minimum(np.sqrt(n / (n + 2.0 * w.param)), np.nextafter(1.0, 0.0))
+    if w.family == "expdecay":
+        b = w.param  # smaller root of n (1 - s)^2 = b s, free of cancellation
+        return 2.0 * n / (2.0 * n + b + np.sqrt(b * b + 4.0 * n * b))
+    if w.family == "constant":
+        return np.ones_like(n)
+    ks, vs = np.array(w.knots).T
+    lo, hi = ks[:-1], ks[1:]
+    d = np.diff(vs) / np.diff(ks)
+    c = vs[:-1] - d * lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = np.where(d != 0.0, -n * c / ((n + 1.0) * d), lo)
+    pieces = np.clip(stat, lo, hi)
+    return np.hstack([np.broadcast_to(ks, (len(ns), len(ks))), pieces, np.ones_like(n)])
 
 
-@functools.lru_cache(maxsize=256)
 def _moment_table(w: Weight, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log M_n, argmax_s) for n = 0..n_max, grid scan + bounded refinement."""
-    g = _moment_grid()
-    logv = np.asarray(w.log_eval(g))
-    with np.errstate(divide="ignore"):
-        logs = np.log(g)
-    logs[0] = LOG_TINY  # s = 0 only competes for n = 0 via the v term
-    ns = np.arange(n_max + 1)
-    log_m = np.empty(n_max + 1)
-    arg = np.empty(n_max + 1)
-    objective = logv[None, :] + ns[:, None] * logs[None, :]
-    idx = np.argmax(objective, axis=1)
-    for n in ns:
-        i = int(idx[n])
-        lo = g[max(i - 1, 0)]
-        hi = g[min(i + 1, len(g) - 1)]
-        if hi - lo < 1e-15:
-            s_star, val = g[i], objective[n, i]
-        else:
-            def neg(s, n=int(n)):
-                ls = np.log(s) if s > 0.0 else LOG_TINY
-                return -(float(w.log_eval(s)) + n * ls)
+    """(log M_n, argmax_s) for n = 0..n_max: the best candidate of _moment_points.
 
-            res = minimize_scalar(neg, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-13})
-            s_star, val = float(res.x), -float(res.fun)
-            if objective[n, i] > val:
-                s_star, val = g[i], objective[n, i]
-        log_m[n] = val
-        arg[n] = s_star
-    # moments of a bounded weight are non-increasing in n once s < 1; enforce
-    # the trivial monotonicity the sup definition guarantees
-    np.minimum.accumulate(log_m, out=log_m)
-    out_m = log_m.copy()
-    out_a = arg.copy()
-    out_m.setflags(write=False)
-    out_a.setflags(write=False)
-    return out_m, out_a
+    The candidates lie in [0, 1] and include the maximizer: the sup up to rounding.
+    """
+    ns = np.arange(n_max + 1)
+    pts = _moment_points(w, ns)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_log_s = np.where(ns[:, None] == 0, 0.0, ns[:, None] * np.log(pts))
+        objective = w.log_eval(pts) + n_log_s
+    idx = np.argmax(objective, axis=1)
+    return objective[ns, idx], pts[ns, idx]
 
 
 def moment(w: Weight, n: int) -> tuple[float, float]:
-    """M_n = sup_s v(s) s^n and its maximizer, to relative accuracy ~1e-8."""
+    """M_n = sup_s v(s) s^n and its maximizer, in closed form.
+
+    The maximizer is 1.0 where the sup is only approached at the boundary
+    (constants, and the flat tail of a table).
+    """
     if n < 0:
         raise UsageError("moment order must be >= 0")
-    log_m, arg = _moment_table(w, max(n, 8))
+    log_m, arg = _moment_table(w, n)
     return float(np.exp(log_m[n])), float(arg[n])
 
 

@@ -1,4 +1,5 @@
 import json
+from itertools import takewhile
 
 import pytest
 
@@ -102,3 +103,34 @@ def test_schwarz_command(capsys):
     rc = main(["schwarz", "--model", "disc", "--samples", "400"])
     assert rc == 0
     assert "schwarz: pass" in capsys.readouterr().out
+
+
+def test_unreadable_map_and_config_files_exit_2(tmp_path, capsys):
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"0.5,\xff\xfe\n0,0.5\n")
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0.5,0\n0\n")
+    assert main(["compop", "--model", "hilbert:2", "--map", f"linear:{binary}"]) == 2
+    assert "cannot read matrix" in capsys.readouterr().err
+    assert main(["compop", "--model", "hilbert:2", "--map", f"linear:{ragged}"]) == 2
+    assert "row lengths [2, 1]" in capsys.readouterr().err
+    assert main(["compop", "--config", str(binary)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert main(["compop", "--model", "hilbert:2", "--map", "linear:a\0b"]) == 2
+    assert main(["compop", "--config", "a\0b"]) == 2
+
+
+def test_weights_command_table_with_knot_on_estimate_radius(tmp_path):
+    # the knot at 0.9 is a default estimate radius; a moment that trails the
+    # sup there put the envelope below v and the command exited 3
+    table, out = tmp_path / "w.csv", tmp_path / "out.csv"
+    table.write_text("r,v\n0,1\n0.5,0.6\n0.9,0.2\n0.99,0.01\n")
+    assert main(["weights", "--weight", f"table:{table}", "--format", "csv",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    start = lines.index("radius,weight,upper_mono,upper_lp,chosen") + 1
+    envelope = takewhile(lambda line: not line.startswith("#"), lines[start:])
+    at_knot = [row.split(",") for row in envelope if float(row.split(",")[0]) == 0.9]
+    assert len(at_knot) == 1
+    weight, chosen = float(at_knot[0][1]), float(at_knot[0][4])
+    assert chosen >= weight * (1 - 1e-9)

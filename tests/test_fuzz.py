@@ -1,15 +1,18 @@
-"""Parsers and constructors on arbitrary input: a valid object or UsageError.
+"""Parsers and constructors on arbitrary input: a valid object or a typed error.
 
 Any other exception escaping from text or numbers a user can supply would
 reach the CLI as a crash instead of exit code 2.
 """
 
 import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from triple_lab.errors import UsageError
+from triple_lab.compop import HoloMap, parse_map
+from triple_lab.errors import TripleLabError, UsageError
 from triple_lab.triples import TripleModel, hilbert, matrix, parse_model
 from triple_lab.weights import Weight, parse_weight
 
@@ -84,3 +87,24 @@ def test_parse_weight_fuzz(text):
     else:
         assert math.isfinite(w.param) and w.param > 0
         assert np.isfinite(w.log_eval(0.5))
+
+
+def _matrix_file_bytes():
+    token = st.sampled_from(["0", "0.5", "-1", "0.5j", "1e999", "nan", "", "x", "# c"])
+    row = st.lists(token, max_size=3).map(",".join)
+    text = st.lists(row, max_size=3).map("\n".join)
+    return st.one_of(st.binary(max_size=64), text.map(str.encode))
+
+
+@FUZZ
+@given(_matrix_file_bytes())
+def test_parse_map_linear_file_fuzz(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            phi = parse_map("linear:" + path, hilbert(2))
+        except TripleLabError:
+            return
+    assert isinstance(phi, HoloMap)

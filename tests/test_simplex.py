@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.optimize
 
+from triple_lab import weights
 from triple_lab.simplex import solve_lp_maximize
 
 
@@ -98,3 +101,13 @@ def test_matches_scipy_on_moment_style_columns():
 def test_input_validation():
     with pytest.raises(Exception):
         solve_lp_maximize(np.array([1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
+
+
+def test_relative_stopping_rule_ends_degenerate_cycling(monkeypatch):
+    # reduced costs of this envelope LP carry roundoff near 1.5e-8, above an
+    # absolute 1e-9 threshold; Bland's rule then cycled until the pivot cap
+    monkeypatch.setattr(weights, "solve_lp_maximize",
+                        functools.partial(solve_lp_maximize, max_iter=1000))
+    w = weights.expdecay_weight(0.9187728335831057)
+    poly = weights.associated_upper_lp(w, 0.9)
+    assert poly.value >= w.eval(0.9) * (1 - 1e-9)

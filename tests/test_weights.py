@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import triple_lab
+from triple_lab.compop import builtin_weights
 from triple_lab.errors import UsageError
+from triple_lab.sampling import THREADS_ENV
 from triple_lab.weights import (
+    _moment_table,
     associated_upper_lp,
     associated_upper_mono,
     boundary_l,
@@ -215,3 +224,47 @@ def test_weights_are_hashable_cache_keys():
     b = power_weight(1.0)
     assert hash(a) == hash(b) and a == b
     assert power_weight(2.0) != a
+
+
+FALLING_TABLE = table_weight(((0.0, 1.0), (0.3, 0.7), (0.6, 0.4), (0.8, 0.25), (0.95, 0.05)))
+RISING_TABLE = table_weight(((0.0, 0.5), (0.5, 1.0), (0.9, 2.0)))
+
+
+def test_closed_form_moments_reach_fine_grid_sup():
+    # log M_n is the sup itself, so no point of a fine grid may beat it
+    s = np.linspace(0.0, 1.0, 10**5, endpoint=False)[1:]
+    log_s = np.log(s)
+    for w in builtin_weights() + (power_weight(1e-17), FALLING_TABLE, RISING_TABLE):
+        log_v = np.asarray(w.log_eval(s))
+        log_m, arg = _moment_table(w, 512)
+        for lo in range(0, 513, 64):
+            ns = np.arange(lo, min(lo + 64, 513))
+            grid_sup = np.max(log_v[None, :] + ns[:, None] * log_s[None, :], axis=1)
+            assert np.all(log_m[ns] >= grid_sup - 1e-13), (str(w), lo)
+        assert np.all((arg >= 0.0) & (arg <= 1.0)), str(w)
+
+
+def test_moment_sup_at_boundary_reports_argmax_one():
+    assert moment(constant_weight(2.0), 5) == (2.0, 1.0)
+    val, arg = moment(RISING_TABLE, 3)
+    assert arg == 1.0 and abs(val - 2.0) <= 1e-15
+
+
+def test_estimate_independent_of_thread_count(monkeypatch):
+    radii = np.array([0.4, 0.8, 0.95])
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv(THREADS_ENV, threads)
+        est = build_associated_estimate(FALLING_TABLE, radii=radii)
+        runs.append((est.upper_mono, est.upper_lp, est.chosen))
+    for a, b in zip(*runs):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(triple_lab.__file__).resolve().parents[1])
+    code = ("import sys, triple_lab, triple_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
