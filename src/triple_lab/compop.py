@@ -155,7 +155,8 @@ def parse_map(text: str, model: TripleModel) -> HoloMap:
 
     "identity" | "mobius:C" (center C along the first basis direction)
     | "pow:K" | "linear:PATH.csv" (complex matrix entries)
-    | "compose:[D1;D2;...]" applied left to right.
+    | "compose:[D1;D2;...]" applied left to right, where a Dk may itself
+    be a compose descriptor.
     """
     t = text.strip()
     low = t.lower()
@@ -182,7 +183,18 @@ def parse_map(text: str, model: TripleModel) -> HoloMap:
         body = t.split(":", 1)[1].strip()
         if not (body.startswith("[") and body.endswith("]")):
             raise UsageError(f"compose descriptor needs [...], got {text!r}")
-        inner = [s for s in body[1:-1].split(";") if s.strip()]
+        # split at the semicolons outside nested brackets only
+        inner, depth, start = [], 0, 1
+        for i, ch in enumerate(body[1:-1], 1):
+            depth += (ch == "[") - (ch == "]")
+            if depth < 0:
+                break
+            if ch == ";" and depth == 0:
+                inner.append(body[start:i])
+                start = i + 1
+        if depth != 0:
+            raise UsageError(f"unbalanced brackets in compose descriptor {text!r}")
+        inner = [s for s in inner + [body[start:-1]] if s.strip()]
         if not inner:
             raise UsageError(f"empty compose descriptor {text!r}")
         return compose_maps(parse_map(s, model) for s in inner)

@@ -12,9 +12,10 @@ geometric series exists as a cross-check, and the key norm identity
 
     1 / (1 - ||g_a(x)||^2) = || B_a^(-1) B(a, -x) B_x^(-1) ||
 
-is computable with either exact or sampled operator norms depending on the
-model. The sign in B(a, -x) matters; the variant with B(a, x) is exposed
-behind a flag because it demonstrably fails already on the disc.
+is computed exactly on every model: on p-by-q matrices each Bergman-type
+operator is Z -> L Z R with p-by-p and q-by-q factors in closed form. The
+sign in B(a, -x) matters; the variant with B(a, x) is exposed behind a flag
+because it demonstrably fails already on the disc.
 """
 
 from __future__ import annotations
@@ -24,17 +25,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NumericalFailureError, SingularMatrixError, UsageError
-from .linalg import CMatrix, solve_linear
+from .linalg import SOLVE_RTOL, CMatrix, solve_linear
 from .sampling import SamplingBudget, stream
 from .triples import (
     TripleElement,
     TripleModel,
+    _defect_powers,
     basis_element,
     bergman_rep,
     bergman_sqrt,
     box_rep,
-    box_rep_batch,
-    op_norm_triple,
     quadratic_rep,
     sample_coords,
     triple_norm,
@@ -57,10 +57,9 @@ class MobiusMap:
         return f"MobiusMap({self.model}, ||a||={triple_norm(self.center):.6g})"
 
 
-def mobius_map(a: TripleElement, rtol: float = 1e-10) -> MobiusMap:
-    if triple_norm(a) >= 1.0:
-        raise DomainError(f"Mobius center must satisfy ||a|| < 1, got {triple_norm(a):.6g}")
-    return MobiusMap(a, bergman_sqrt(a, rtol=rtol))
+def mobius_map(a: TripleElement) -> MobiusMap:
+    """g_a; bergman_sqrt raises DomainError unless ||a|| < 1."""
+    return MobiusMap(a, bergman_sqrt(a))
 
 
 def mobius_inverse(g: MobiusMap) -> MobiusMap:
@@ -104,7 +103,9 @@ def mobius_apply(g: MobiusMap, x: TripleElement, route: str = "resolvent") -> Tr
 
 
 def mobius_apply_batch(g: MobiusMap, coords: np.ndarray) -> np.ndarray:
-    """Resolvent-route evaluation over rows of an (n, coord_dim) array."""
+    """g_a over rows of an (n, coord_dim) array in Harris's form
+    (I - A A*)^(-1/2) (X + A) M^(-1), M = (I - A* A)^(-1/2) (I + A* X); each
+    row's q-by-q solve must meet solve_linear's residual bound SOLVE_RTOL."""
     coords = np.asarray(coords, dtype=np.complex128)
     if coords.ndim != 2 or coords.shape[1] != g.model.coord_dim:
         raise UsageError(f"batch shape {coords.shape} does not match {g.model}")
@@ -113,14 +114,23 @@ def mobius_apply_batch(g: MobiusMap, coords: np.ndarray) -> np.ndarray:
     norms = triple_norm_batch(g.model, coords)
     if norms.size and float(np.max(norms)) >= 1.0:
         raise DomainError(f"batch contains a point of norm {float(np.max(norms)):.6g} >= 1")
-    d = g.model.coord_dim
-    boxes = box_rep_batch(g.model, coords, g.center)
-    systems = np.eye(d, dtype=np.complex128)[None, :, :] + boxes
-    try:
-        ys = np.linalg.solve(systems, coords[:, :, None])[:, :, 0]
+    p, q = g.model.shape
+    left, right = _defect_powers(g.center, -0.5)
+    am = g.center.as_matrix()
+    # Y M = X + A solved as M^T Y^T = (X + A)^T: in the transposed frame the
+    # constant factors multiply from the right, one 2-D product for all rows
+    xt = coords.reshape(-1, p, q).transpose(0, 2, 1)
+    mt = right.T + (xt.reshape(-1, p) @ (right @ am.conj().T).T).reshape(-1, q, q)
+    nt = xt + am.T
+    try:  # one-by-one systems (disc, hilbert) need no LAPACK call per row
+        yt = nt / mt if q == 1 else np.linalg.solve(mt, nt)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"batched Mobius resolvent failed: {exc}") from exc
-    return g.center.coords[None, :] + ys @ g.bs.entries.T
+        raise NumericalFailureError(f"batched Mobius solve failed: {exc}") from exc
+    resid = np.linalg.norm(mt @ yt - nt, axis=(1, 2))
+    if not np.all(resid <= SOLVE_RTOL * np.linalg.norm(nt, axis=(1, 2))):
+        raise NumericalFailureError(f"batched Mobius solve residual {resid.max():.3e} too large")
+    out = (yt.reshape(-1, p) @ left.T).reshape(-1, q, p)  # (L Y)^T
+    return out.transpose(0, 2, 1).reshape(len(coords), p * q)
 
 
 def mobius_apply_series(
@@ -234,31 +244,22 @@ class NormIdentityReport:
 
 
 def norm_identity_residual(
-    a: TripleElement,
-    x: TripleElement,
-    budget: SamplingBudget | None = None,
-    as_printed: bool = False,
+    a: TripleElement, x: TripleElement, as_printed: bool = False
 ) -> NormIdentityReport:
     """Check the displacement-norm identity at one pair (a, x).
 
     as_printed=True swaps B(a, -x) for B(a, x), a sign variant that fails
-    already on the disc (a = 0.5, x = 0.25 gives 1.8 against ~1.089). The
-    operator norm is exact on euclidean-norm models, sampled on the
-    spectral-norm model (certified=False there).
+    already on the disc (a = 0.5, x = 0.25 gives 1.8 against ~1.089). With
+    y = -x (or x), B_a^(-1) B(a, y) B_x^(-1) is Z -> L Z R for
+    L = (I - A A*)^(-1/2) (I - A Y*) (I - X X*)^(-1/2) and
+    R = (I - X* X)^(-1/2) (I - Y* A) (I - A* A)^(-1/2); its norm is exactly
+    ||L|| ||R|| on every model, so certified is always True.
     """
-    g = mobius_map(a)
-    if x.model != a.model:
-        raise UsageError(f"model mismatch: {x.model} vs {a.model}")
-    _check_in_ball(x)
-    gx = mobius_apply(g, x)
+    gx = mobius_apply(mobius_map(a), x)
     target = 1.0 / (1.0 - triple_norm(gx) ** 2)
-    mid = bergman_rep(a, x if as_printed else -x).entries
-    bx = bergman_sqrt(x).entries
-    ba = g.bs.entries
-    t1 = np.linalg.solve(ba, mid)
-    t = np.linalg.solve(bx.T, t1.T).T
-    est = op_norm_triple(CMatrix.from_array(t), a.model, budget)
-    resid = abs(target - est.estimate)
-    return NormIdentityReport(
-        target, est.estimate, resid, resid / abs(target), est.certified, as_printed
-    )
+    am, yh = a.as_matrix(), (x if as_printed else -x).as_matrix().conj().T
+    (la, ra), (lx, rx) = _defect_powers(a, -0.5), _defect_powers(x, -0.5)
+    est = float(np.linalg.norm(la @ (np.eye(len(la)) - am @ yh) @ lx, 2)
+                * np.linalg.norm(rx @ (np.eye(len(ra)) - yh @ am) @ ra, 2))
+    resid = abs(target - est)
+    return NormIdentityReport(target, est, resid, resid / abs(target), True, as_printed)

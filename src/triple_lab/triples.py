@@ -237,6 +237,22 @@ def quadratic_rep(x: TripleElement) -> AntilinearRep:
     return AntilinearRep(CMatrix.from_array(np.einsum("ij,kl->ilkj", xm, xm).reshape(d, d)))
 
 
+def _kron_rep(left: np.ndarray, right: np.ndarray) -> CMatrix:
+    """Matrix of Z -> left Z right: left kron right^T, without np.kron's overhead."""
+    d = len(left) * len(right)
+    return CMatrix.from_array(np.einsum("ik,lj->ijkl", left, right).reshape(d, d))
+
+
+def _defect_powers(a: TripleElement, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """((I - A A*)^t, (I - A* A)^t) from one SVD of A; requires ||a|| < 1."""
+    u, s, vh = np.linalg.svd(a.as_matrix())
+    if s[0] >= 1.0:
+        raise DomainError(f"Bergman operators need ||a|| < 1, got {s[0]:.6g}")
+    f = np.ones(max(a.model.shape))
+    f[: len(s)] = ((1.0 - s) * (1.0 + s)) ** t  # 1 - s^2, accurate as s -> 1
+    return (u * f[: len(u)]) @ u.conj().T, (vh.conj().T * f[: len(vh)]) @ vh
+
+
 def bergman_rep(x: TripleElement, y: TripleElement) -> CMatrix:
     """B(x, y) = id - 2 x [] y + Q_x Q_y as a plain (linear) matrix.
 
@@ -246,20 +262,12 @@ def bergman_rep(x: TripleElement, y: TripleElement) -> CMatrix:
     m = _require_same_model(x, y)
     xm = x.as_matrix()
     ystar = y.as_matrix().conj().T
-    left = np.eye(m.p) - xm @ ystar
-    right = np.eye(m.q) - ystar @ xm
-    # the Kronecker product above, without np.kron's per-call overhead
-    d = m.coord_dim
-    return CMatrix.from_array(np.einsum("ik,lj->ijkl", left, right).reshape(d, d))
+    return _kron_rep(np.eye(m.p) - xm @ ystar, np.eye(m.q) - ystar @ xm)
 
 
-def bergman_sqrt(a: TripleElement, rtol: float = 1e-10) -> CMatrix:
-    """B_a = B(a, a)^(1/2); requires ||a|| < 1 so B(a, a) is positive."""
-    from .linalg import principal_sqrt
-
-    if triple_norm(a) >= 1.0:
-        raise DomainError(f"bergman_sqrt needs ||a|| < 1, got {triple_norm(a):.6g}")
-    return principal_sqrt(bergman_rep(a, a), rtol=rtol)
+def bergman_sqrt(a: TripleElement) -> CMatrix:
+    """B_a = B(a, a)^(1/2): Z -> (I - A A*)^(1/2) Z (I - A* A)^(1/2); needs ||a|| < 1."""
+    return _kron_rep(*_defect_powers(a, 0.5))
 
 
 def sample_coords(

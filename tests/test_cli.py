@@ -99,6 +99,11 @@ def test_compop_command_human(capsys):
     assert "theorem verdict: all continuous" in out
 
 
+def test_compop_command_nested_compose(capsys):
+    assert main(["compop", "--map", "compose:[compose:[pow:2;mobius:0.4];identity]"]) == 0
+    assert "criterion verdict:" in capsys.readouterr().out
+
+
 def test_schwarz_command(capsys):
     rc = main(["schwarz", "--model", "disc", "--samples", "400"])
     assert rc == 0

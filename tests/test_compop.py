@@ -23,8 +23,8 @@ from triple_lab.compop import (
 )
 from triple_lab.errors import InvalidMapError, UsageError
 from triple_lab.linalg import CMatrix
-from triple_lab.sampling import SamplingBudget
-from triple_lab.triples import element, parse_model, triple_norm, zero
+from triple_lab.sampling import SamplingBudget, stream
+from triple_lab.triples import element, parse_model, sample_coords, triple_norm, zero
 from triple_lab.weights import (
     build_associated_estimate,
     constant_weight,
@@ -52,9 +52,19 @@ def test_parse_map_forms():
     assert parse_map("mobius:0.4", DISC).kind == "mobius"
     comp = parse_map("compose:[pow:2; mobius:0.4]", DISC)
     assert comp.kind == "compose" and len(comp.parts) == 2
-    for bad in ("pow:x", "mobius:1.0", "compose:[]", "compose:pow:2", "wat"):
+    for bad in ("pow:x", "mobius:1.0", "compose:[]", "compose:pow:2", "wat",
+                "compose:[[pow:2]", "compose:[pow:2]]", "compose:[pow:2];[identity]"):
         with pytest.raises(UsageError):
             parse_map(bad, DISC)
+
+
+def test_nested_compose_parses():
+    for name in ("disc", "hilbert:2", "matrix:2x2"):
+        m = parse_model(name)
+        nested = parse_map("compose:[compose:[pow:2;mobius:0.4];identity]", m)
+        flat = parse_map("compose:[pow:2;mobius:0.4]", m)
+        xs = sample_coords(m, 20, stream(9, 1), norms=0.7)
+        assert np.max(np.abs(map_apply_batch(nested, xs) - map_apply_batch(flat, xs))) <= 1e-15
 
 
 def test_map_apply_oracles():

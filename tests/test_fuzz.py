@@ -108,3 +108,33 @@ def test_parse_map_linear_file_fuzz(data):
         except TripleLabError:
             return
     assert isinstance(phi, HoloMap)
+
+
+def _compose_text(stage, min_size=0):
+    return st.lists(stage, min_size=min_size, max_size=3).map(
+        lambda parts: "compose:[" + ";".join(parts) + "]")
+
+
+def _map_text():
+    """(descriptor, well_formed): well-formed ones nest valid maps in compose:[...]."""
+    valid = st.recursive(st.sampled_from(["identity", "pow:2", "mobius:0.4"]),
+                         lambda inner: _compose_text(inner, min_size=1), max_leaves=8)
+    noise = st.one_of(
+        st.sampled_from(["pow:-1", "mobius:1.5", "wat", "", "[", "]", ";", "compose:"]),
+        st.text(alphabet="[];:pow2", max_size=6),
+    )
+    junk = st.recursive(st.one_of(valid, noise), lambda inner: st.one_of(
+        _compose_text(inner), st.builds(str.__add__, inner, inner)), max_leaves=8)
+    return st.one_of(valid.map(lambda t: (t, True)), junk.map(lambda t: (t, False)))
+
+
+@FUZZ
+@given(_map_text())
+def test_parse_map_nested_compose_fuzz(case):
+    text, well_formed = case
+    try:
+        phi = parse_map(text, hilbert(2))
+    except TripleLabError:
+        assert not well_formed, text
+        return
+    assert isinstance(phi, HoloMap)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from triple_lab.errors import DomainError, UsageError
+import triple_lab.linalg
+from triple_lab.errors import DomainError, NumericalFailureError, UsageError
+from triple_lab.linalg import principal_sqrt
 from triple_lab.mobius import (
     mobius_apply,
     mobius_apply_batch,
@@ -14,9 +16,21 @@ from triple_lab.mobius import (
     symmetry_apply,
 )
 from triple_lab.sampling import SamplingBudget, stream
-from triple_lab.triples import element, parse_model, sample_element, triple_norm, zero
+from triple_lab.triples import (
+    bergman_rep,
+    bergman_sqrt,
+    element,
+    parse_model,
+    sample_coords,
+    sample_element,
+    triple_norm,
+    zero,
+)
 
 MODELS = ["disc", "hilbert:2", "hilbert:3", "matrix:2x2", "matrix:2x3"]
+# shapes the closed-form Bergman factors are pinned on, centers up to 0.95
+PIN_MODELS = ["disc", "hilbert:2", "hilbert:5", "hilbert:16", "matrix:2x2",
+              "matrix:2x3", "matrix:3x2", "matrix:3x3", "matrix:4x4"]
 
 
 def test_disc_closed_form():
@@ -71,16 +85,57 @@ def test_maps_zero_to_center_and_inverts():
 
 
 def test_batch_matches_single():
-    for name in MODELS:
+    for name in PIN_MODELS:
         m = parse_model(name)
         rng = stream(24, 3)
-        a = sample_element(m, rng, norm=0.55)
+        for cn in (0.05, 0.55, 0.95):
+            g = mobius_map(sample_element(m, rng, norm=cn))
+            xs = sample_coords(m, 16, rng, norms=rng.uniform(0.0, 0.95, 16))
+            batch = mobius_apply_batch(g, xs)
+            for i in range(16):
+                single = mobius_apply(g, element(m, xs[i])).coords
+                assert np.linalg.norm(batch[i] - single) <= 1e-13, (name, cn)
+
+
+def test_batch_of_no_rows_keeps_its_shape():
+    for name in ("disc", "hilbert:3", "matrix:2x3"):
+        m = parse_model(name)
+        g = mobius_map(sample_element(m, stream(24, 4), norm=0.5))
+        assert mobius_apply_batch(g, np.zeros((0, m.coord_dim))).shape == (0, m.coord_dim)
+
+
+def test_batch_checks_its_solves(monkeypatch):
+    m = parse_model("matrix:2x3")
+    rng = stream(24, 5)
+    g = mobius_map(sample_element(m, rng, norm=0.5))
+    xs = sample_coords(m, 4, rng, norms=0.5)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1 + 1e-9))
+    with pytest.raises(NumericalFailureError):
+        mobius_apply_batch(g, xs)
+
+
+def test_bergman_sqrt_matches_principal_sqrt():
+    for name in PIN_MODELS:
+        m = parse_model(name)
+        rng = stream(24, 6)
+        for cn in (0.0, 0.3, 0.7, 0.95):
+            a = sample_element(m, rng, norm=cn)
+            oracle = principal_sqrt(bergman_rep(a, a)).entries
+            assert np.max(np.abs(bergman_sqrt(a).entries - oracle)) <= 1e-13, (name, cn)
+
+
+def test_bergman_roots_need_no_principal_sqrt(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("principal_sqrt reached")
+
+    monkeypatch.setattr(triple_lab.linalg, "principal_sqrt", refuse)
+    for name in PIN_MODELS:
+        m = parse_model(name)
+        a = sample_element(m, stream(24, 7), norm=0.6)
         g = mobius_map(a)
-        xs = np.stack([sample_element(m, rng, norm=0.4).coords for _ in range(16)])
-        batch = mobius_apply_batch(g, xs)
-        for i in range(16):
-            single = mobius_apply(g, element(m, xs[i])).coords
-            assert np.linalg.norm(batch[i] - single) <= 1e-12, name
+        assert triple_norm(mobius_apply(g, zero(m)) - a) <= 1e-11, name
+        assert bergman_sqrt(a).shape == (m.coord_dim, m.coord_dim)
 
 
 def test_batch_rejects_non_finite_rows():
@@ -152,11 +207,11 @@ def test_norm_identity_corrected_and_printed():
 
 
 def test_norm_identity_random_pairs():
-    for name in ("disc", "hilbert:2"):
+    for name in PIN_MODELS:
         m = parse_model(name)
         rng = stream(28, 7)
         for _ in range(40):
-            a = sample_element(m, rng, norm=float(rng.uniform(0.1, 0.8)))
-            x = sample_element(m, rng, norm=float(rng.uniform(0.1, 0.8)))
+            a = sample_element(m, rng, norm=float(rng.uniform(0.1, 0.95)))
+            x = sample_element(m, rng, norm=float(rng.uniform(0.1, 0.95)))
             rep = norm_identity_residual(a, x)
             assert rep.certified and rep.residual <= 1e-9, name
