@@ -14,7 +14,9 @@ verdicts stay conservative) and the certified associated-weight envelope
 for fast-decaying weights, so it never drives the verdict by itself; its LPs
 are paid only by a caller that passes an estimate, and without one the
 secondary trend is NaN; the envelope is non-increasing in r, so a shell
-evaluates it at its largest image norm only).
+evaluates it at its largest image norm only). Each shell is drawn once per
+call and shared by every map and weight of that call; each map is swept once
+per call, and every weight reads its image norms.
 
 The global theorem route: if vZ dominates vX up to a constant along equal
 norms and the boundary doubling of vZ is bounded, EVERY composition
@@ -354,9 +356,51 @@ class ContinuityReport:
 
 
 def _shell_radii(shells: int) -> np.ndarray:
+    """Radii r_k = 1 - 2^-k, k = 1..shells.
+
+    Past 53 shells r rounds to 1 in float64, where power weights read
+    log v = -inf and Mobius maps meet a point of norm 1, so such counts are
+    refused. The deepest accepted shells still misread: image norms are
+    clipped at 1 - 1e-15 there, which only carrying s = 1 - r in place of r
+    would mend.
+    """
     if shells < 2:
         raise UsageError("need at least 2 shells")
-    return 1.0 - 2.0 ** -np.arange(1.0, shells + 1.0)
+    radii = 1.0 - 2.0 ** -np.arange(1.0, shells + 1.0)
+    if not radii[-1] < 1.0:
+        raise UsageError(f"{shells} shells put r = 1 in float64; use at most 53")
+    return radii
+
+
+def _shell_draws(
+    model: TripleModel, shells: int, budget: SamplingBudget
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Shell radii and, per shell k, budget.samples points of norm r_k.
+
+    Shell k's stream depends on (budget.seed, k) only, so one draw serves
+    every map on the model and every weight.
+    """
+    radii = _shell_radii(shells)
+    draws = [
+        sample_coords(model, budget.samples, stream(budget.seed, 0xC0, k), norms=r)
+        for k, r in enumerate(radii)
+    ]
+    return radii, draws
+
+
+def _image_norms(
+    phi: HoloMap, radii: np.ndarray, draws: list[np.ndarray]
+) -> tuple[list[np.ndarray], bool]:
+    """Per shell: norms of phi over the drawn points (plus the exact Mobius
+    witness direction when available), and whether the witness was used."""
+    a = phi.mob.center if phi.kind == "mobius" else None
+    direction = a.coords / triple_norm(a) if a is not None and triple_norm(a) > 0 else None
+    per_shell = []
+    for r, xs in zip(radii, draws):
+        if direction is not None:  # vstack copies: the shared draws stay as drawn
+            xs = np.vstack([xs, (r * direction)[None, :]])
+        per_shell.append(triple_norm_batch(phi.codomain, map_apply_batch(phi, xs)))
+    return per_shell, direction is not None
 
 
 def _sweep_image_norms(
@@ -364,22 +408,8 @@ def _sweep_image_norms(
 ) -> tuple[np.ndarray, list[np.ndarray], bool]:
     """Per shell: norms of phi over samples of norm r_k (plus the exact
     Mobius witness direction when available)."""
-    radii = _shell_radii(shells)
-    per_shell = []
-    witness_used = False
-    a = phi.mob.center if phi.kind == "mobius" else None
-    if a is not None and triple_norm(a) > 0:
-        direction = a.coords / triple_norm(a)
-    else:
-        direction = None
-    for k, r in enumerate(radii):
-        rng = stream(budget.seed, 0xC0, k)
-        xs = sample_coords(phi.domain, budget.samples, rng, norms=r)
-        if direction is not None:
-            xs = np.vstack([xs, (r * direction)[None, :]])
-            witness_used = True
-        per_shell.append(triple_norm_batch(phi.codomain, map_apply_batch(phi, xs)))
-    return radii, per_shell, witness_used
+    radii, draws = _shell_draws(phi.domain, shells, budget)
+    return (radii, *_image_norms(phi, radii, draws))
 
 
 def criterion_sup_ratio(
@@ -418,16 +448,26 @@ def criterion_tail(
     return _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0=r0)
 
 
+def _require_condition_I(name: str, w: Weight) -> None:
+    chk = condition_I_check(w)
+    if not chk.passed:
+        raise UsageError(
+            f"{name} weight {w.descriptor()} violates positivity near r={chk.offending_radius}"
+        )
+
+
 def _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0):
-    for name, w in (("domain", v_x), ("target", v_z)):
-        chk = condition_I_check(w)
-        if not chk.passed:
-            raise UsageError(
-                f"{name} weight {w.descriptor()} violates positivity near r={chk.offending_radius}"
-            )
+    _require_condition_I("domain", v_x)
+    _require_condition_I("target", v_z)
     budget = budget or SamplingBudget(samples=2000)
     radii, image_norms, witness_used = _sweep_image_norms(phi, shells, budget)
+    return _report(phi.label, v_x, v_z, assoc_z, budget, radii, image_norms,
+                   witness_used, tail_r0)
 
+
+def _report(label, v_x, v_z, assoc_z, budget, radii, image_norms, witness_used, tail_r0):
+    """The trend and verdict of one map's image norms under one weight pair."""
+    shells = len(radii)
     log_vx = np.asarray(v_x.log_eval(radii))
     primary = np.full(shells, np.nan)
     secondary = np.full(shells, np.nan)
@@ -466,10 +506,10 @@ def _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0):
 
     return ContinuityReport(
         criterion="sup-ratio" if tail_r0 is None else "tail",
-        map_label=phi.label,
+        map_label=label,
         weight_x=v_x.descriptor(),
         weight_z=v_z.descriptor(),
-        shell_radii=radii,
+        shell_radii=radii.copy(),  # one radii array serves every report of a sweep
         image_maxima=maxima,
         primary_log_trend=primary,
         secondary_log_trend=secondary,
@@ -555,12 +595,16 @@ def spot_check_mobius_family(
     for fast-decaying weights they realize the divergence.
     """
     model = model or parse_model("disc")
+    budget = budget or SamplingBudget(samples=2000)
+    _require_condition_I("domain", v_z)
+    radii, draws = _shell_draws(model, shells, budget)
     out = []
     for c in center_norms:
         coords = np.zeros(model.coord_dim, dtype=np.complex128)
         coords[0] = c
         phi = mobius_holo(TripleElement(model, coords))
-        rep = criterion_sup_ratio(phi, v_z, v_z, assoc_z=assoc_z, budget=budget, shells=shells)
+        norms, witness_used = _image_norms(phi, radii, draws)
+        rep = _report(phi.label, v_z, v_z, assoc_z, budget, radii, norms, witness_used, None)
         out.append((float(c), rep))
     return tuple(out)
 
@@ -624,20 +668,27 @@ def consistency_matrix(
     weights = weights or builtin_weights()
     maps = maps or builtin_maps(model)
     budget = budget or SamplingBudget(samples=2000)
-    rows = []
+    assocs, theorems = [], []
     for w in weights:
         # theorem_verdict reads an estimate only past its non_increasing gate
         reads = w.non_increasing and auto_boundary_source(w)[0] == "associated-estimate"
-        assoc = build_associated_estimate(w) if reads else None
-        thm = theorem_verdict(w, w, assoc_z=assoc)
-        reps = tuple(
-            criterion_sup_ratio(phi, w, w, assoc_z=assoc, budget=budget, shells=shells)
-            for phi in maps
-        )
+        assocs.append(build_associated_estimate(w) if reads else None)
+        theorems.append(theorem_verdict(w, w, assoc_z=assocs[-1]))
+        _require_condition_I("domain", w)
+    # one draw per domain model, one sweep per map, read by every weight
+    draws = {m: _shell_draws(m, shells, budget) for m in dict.fromkeys(phi.domain for phi in maps)}
+    reports = [[] for _ in weights]
+    for phi in maps:
+        radii, shell_draws = draws[phi.domain]
+        norms, witness_used = _image_norms(phi, radii, shell_draws)
+        for w, assoc, reps in zip(weights, assocs, reports):
+            reps.append(_report(phi.label, w, w, assoc, budget, radii, norms, witness_used, None))
+    rows = []
+    for w, thm, reps in zip(weights, theorems, reports):
         contra = tuple(
             f"{r.map_label}: {r.verdict} vs theorem {thm.verdict}"
             for r in reps
             if thm.verdict == "all continuous" and r.verdict == "not-continuous"
         )
-        rows.append(ConsistencyRow(w.descriptor(), thm, reps, contra))
+        rows.append(ConsistencyRow(w.descriptor(), thm, tuple(reps), contra))
     return tuple(rows)

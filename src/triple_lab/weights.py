@@ -77,16 +77,29 @@ class Weight:
         return self.descriptor()
 
 
+def _finite_to_the_edge(w: Weight) -> Weight:
+    """w itself, or a UsageError when log v overflows below r = 1.
+
+    |log v| of the power and expdecay families grows toward r = 1, so the
+    last float64 below 1 decides whether log v is finite on all of [0, 1).
+    """
+    with np.errstate(over="ignore"):
+        edge = w.log_eval(np.nextafter(1.0, 0.0))
+    if not np.isfinite(edge):
+        raise UsageError(f"{w.family} weight parameter {w.param:g} overflows log v near r = 1")
+    return w
+
+
 def power_weight(alpha: float) -> Weight:
     if not 0 < alpha < np.inf:
         raise UsageError(f"power weight needs a finite alpha > 0, got {alpha}")
-    return Weight("power", float(alpha))
+    return _finite_to_the_edge(Weight("power", float(alpha)))
 
 
 def expdecay_weight(beta: float) -> Weight:
     if not 0 < beta < np.inf:
         raise UsageError(f"expdecay weight needs a finite beta > 0, got {beta}")
-    return Weight("expdecay", float(beta))
+    return _finite_to_the_edge(Weight("expdecay", float(beta)))
 
 
 def constant_weight(c: float) -> Weight:

@@ -12,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -21,3 +22,23 @@ def test_workload_cycle_passes_its_checks(name):
     ctx = w.prepare()
     for inp in w.inputs(ctx, 0, 0):
         assert w.check(ctx, inp, w.run(ctx, inp)) == []
+
+
+def test_battery_task_draws_each_shell_once():
+    """One battery row draws its 8 shells of 2000 points once, whatever the
+    number of maps, and checks its weight's Condition I once."""
+    w = workloads.WORKLOADS["battery"]
+    ctx = w.prepare()
+    inp = w.inputs(ctx, 0, 0)[0]
+    rec = tracer.Recorder()
+    undo = tracer.install(rec)
+    try:
+        rec.task = 0
+        rows = w.run(ctx, inp)
+    finally:
+        rec.task = None
+        tracer.uninstall(undo)
+    assert w.check(ctx, inp, rows) == []
+    assert len(ctx[1]) == 7
+    assert rec.counts["triples.sample_coords"]["rows"] == 8 * 2000
+    assert rec.calls["weights.condition_I_check"] == 1

@@ -280,24 +280,37 @@ def _counting_builds(monkeypatch):
     return calls
 
 
+def _assert_same_report(rep, ref, where):
+    """Every ContinuityReport field equal, arrays and floats bit for bit (NaN = NaN)."""
+    for name in rep.__dataclass_fields__:
+        a, b = getattr(rep, name), getattr(ref, name)
+        if isinstance(a, (float, np.ndarray)):
+            assert np.array_equal(a, b, equal_nan=True), (where, name)
+        else:
+            assert a == b, (where, name)
+
+
 def test_consistency_matrix_builds_envelope_only_for_table_weights(
         monkeypatch, assoc_power1, assoc_exp05):
     budget = SamplingBudget(samples=200, seed=3)
-    maps = builtin_maps(DISC)
     calls = _counting_builds(monkeypatch)
     known = {"power:1": assoc_power1, "expdecay:0.5": assoc_exp05}
     ws = (power_weight(1.0), constant_weight(1.0), expdecay_weight(0.5))
-    rows = consistency_matrix(model=DISC, weights=ws, maps=maps, budget=budget)
-    assert calls == []
-    for w, row in zip(ws, rows):
-        assoc = known.get(w.descriptor()) or build_associated_estimate(w, radii=(0.5, 0.9))
-        assert row.theorem.verdict == theorem_verdict(w, w, assoc_z=assoc).verdict
-        for phi, rep in zip(maps, row.map_reports):
-            ref = criterion_sup_ratio(phi, w, w, assoc_z=assoc, budget=budget)
-            assert rep.verdict == ref.verdict, (w, phi.label)
-            assert np.array_equal(rep.primary_log_trend, ref.primary_log_trend, equal_nan=True)
-            assert np.all(np.isnan(rep.secondary_log_trend))
+    for model in ("disc", "hilbert:5", "matrix:2x3"):
+        m = parse_model(model)
+        maps = builtin_maps(m)
+        rows = consistency_matrix(model=m, weights=ws, maps=maps, budget=budget)
+        assert calls == []
+        for w, row in zip(ws, rows):
+            assoc = known.get(w.descriptor()) or build_associated_estimate(w, radii=(0.5, 0.9))
+            assert row.theorem.verdict == theorem_verdict(w, w, assoc_z=assoc).verdict
+            for phi, rep in zip(maps, row.map_reports):
+                # the per-map route without an estimate: the row passes none either
+                ref = criterion_sup_ratio(phi, w, w, budget=budget)
+                _assert_same_report(rep, ref, (model, str(w), phi.label))
+                assert np.all(np.isnan(rep.secondary_log_trend))
 
+    maps = builtin_maps(DISC)
     table = table_weight(((0.0, 1.0), (0.3, 0.8), (0.7, 0.4), (0.95, 0.1)))
     (row,) = consistency_matrix(model=DISC, weights=(table,), maps=maps, budget=budget)
     assert len(calls) == 1 and calls[0] == (table, (), {})
@@ -307,10 +320,8 @@ def test_consistency_matrix_builds_envelope_only_for_table_weights(
     assert np.array_equal(row.theorem.boundary.log_l, thm.boundary.log_l)
     for phi, rep in zip(maps, row.map_reports):
         ref = criterion_sup_ratio(phi, table, table, assoc_z=assoc, budget=budget)
-        for name in ("image_maxima", "primary_log_trend", "secondary_log_trend", "trend"):
-            assert np.array_equal(getattr(rep, name), getattr(ref, name), equal_nan=True)
+        _assert_same_report(rep, ref, phi.label)
         assert not np.all(np.isnan(rep.secondary_log_trend))
-        assert (rep.verdict, rep.sup_estimate) == (ref.verdict, ref.sup_estimate)
 
     # a rising table stops at the theorem's non_increasing gate, so nothing reads an envelope
     (row,) = consistency_matrix(model=DISC, weights=(table_weight(RISING_TABLE),),
@@ -325,3 +336,66 @@ def test_spot_check_builds_no_envelope(monkeypatch):
                                        budget=SamplingBudget(samples=200, seed=7))
     assert calls == []
     assert all(np.all(np.isnan(rep.secondary_log_trend)) for _, rep in reports)
+
+
+def _counting(monkeypatch, name):
+    """Wrap compop's reference to a function with a call counter."""
+    calls = []
+    orig = getattr(compop, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(compop, name, counting)
+    return calls
+
+
+def test_consistency_matrix_draws_each_shell_once(monkeypatch):
+    maps = builtin_maps(DISC)
+    ws = (power_weight(1.0), constant_weight(1.0), expdecay_weight(0.5))
+    draws = _counting(monkeypatch, "sample_coords")
+    checks = _counting(monkeypatch, "condition_I_check")
+    rows = consistency_matrix(model=DISC, weights=ws, maps=maps,
+                              budget=SamplingBudget(samples=100, seed=1), shells=8)
+    assert len(maps) == 7 and [len(row.map_reports) for row in rows] == [7, 7, 7]
+    assert len(draws) == 8
+    assert checks == list(ws)
+
+
+def test_spot_check_matches_per_center_criterion(assoc_power1):
+    w = power_weight(1.0)
+    budget = SamplingBudget(samples=200, seed=7)
+    for model in ("disc", "matrix:2x2"):
+        m = parse_model(model)
+        for c, rep in spot_check_mobius_family(w, model=m, budget=budget, assoc_z=assoc_power1):
+            coords = np.zeros(m.coord_dim, dtype=np.complex128)
+            coords[0] = c
+            phi = mobius_holo(element(m, coords))
+            ref = criterion_sup_ratio(phi, w, w, assoc_z=assoc_power1, budget=budget)
+            _assert_same_report(rep, ref, (model, c))
+
+
+def test_shell_counts_past_float64_refused():
+    w = power_weight(1.0)
+    budget = SamplingBudget(samples=20, seed=0)
+    # shell 53 sits at 1 - 2^-53, the last float64 below 1
+    rep = criterion_sup_ratio(identity_map(DISC), w, w, budget=budget, shells=53)
+    assert rep.shell_radii[-1] < 1.0 and np.all(np.isfinite(rep.primary_log_trend))
+    for shells in (54, 60):
+        with pytest.raises(UsageError, match="at most 53"):
+            criterion_sup_ratio(identity_map(DISC), w, w, budget=budget, shells=shells)
+        with pytest.raises(UsageError, match="at most 53"):
+            consistency_matrix(model=DISC, weights=(w,), maps=(identity_map(DISC),),
+                               budget=budget, shells=shells)
+
+
+def test_consistency_matrix_draws_per_map_domain():
+    # maps need not live on `model`: each is swept on draws from its own domain
+    w = power_weight(1.0)
+    budget = SamplingBudget(samples=100, seed=2)
+    maps = (parse_map("mobius:0.4", DISC), parse_map("mobius:0.4", parse_model("hilbert:2")),
+            parse_map("pow:2", parse_model("matrix:2x2")))
+    (row,) = consistency_matrix(model=DISC, weights=(w,), maps=maps, budget=budget)
+    for phi, rep in zip(maps, row.map_reports):
+        _assert_same_report(rep, criterion_sup_ratio(phi, w, w, budget=budget), phi.label)

@@ -9,7 +9,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triple_lab.compop import HoloMap, parse_map
 from triple_lab.errors import TripleLabError, UsageError
@@ -76,6 +76,8 @@ def test_model_constructors_fuzz(p, q):
 
 @FUZZ
 @given(_weight_text())
+@example("expdecay:8.98846567431158e+307")
+@example("power:1e307")
 def test_parse_weight_fuzz(text):
     try:
         w = parse_weight(text)

@@ -81,7 +81,9 @@ def test_table_zero_between_grid_points_rejected():
 
 
 def test_weight_parameters_must_be_finite():
-    for bad in ("power:inf", "expdecay:inf", "constant:inf", "power:nan", "constant:-inf"):
+    # finite parameters whose log v overflows before r = 1 count as infinite
+    for bad in ("power:inf", "expdecay:inf", "constant:inf", "power:nan", "constant:-inf",
+                "power:1e307", "expdecay:2e292", "expdecay:8.98846567431158e+307"):
         with pytest.raises(UsageError):
             parse_weight(bad)
 
