@@ -273,19 +273,14 @@ def cmd_compop(ns, cfg, w: _Writer) -> int:
                                _cfg_get(ns, cfg, "weight_x", "power:1")))
     phi = parse_map(_cfg_get(ns, cfg, "map", "identity"), model)
     shells = int(_cfg_get(ns, cfg, "shells", 8))
-    samples = int(_cfg_get(ns, cfg, "samples", 2000))
-    seed = int(_cfg_get(ns, cfg, "seed", 0))
     crit = _cfg_get(ns, cfg, "criterion", "sup-ratio")
     r0 = float(_cfg_get(ns, cfg, "r0", 0.9))
-    budget = SamplingBudget(samples=samples, seed=seed)
 
     assoc = build_associated_estimate(vz)
     if crit == "tail":
-        rep = criterion_tail(phi, vx, vz, r0=r0, assoc_z=assoc,
-                             budget=budget, shells=shells)
+        rep = criterion_tail(phi, vx, vz, r0=r0, assoc_z=assoc, shells=shells)
     else:
-        rep = criterion_sup_ratio(phi, vx, vz, assoc_z=assoc,
-                                  budget=budget, shells=shells)
+        rep = criterion_sup_ratio(phi, vx, vz, assoc_z=assoc, shells=shells)
     rows = [[int(k + 1), float(r), float(mx), float(p), float(s), float(t)]
             for k, (r, mx, p, s, t) in enumerate(zip(
                 rep.shell_radii, rep.image_maxima, rep.primary_log_trend,
@@ -328,12 +323,9 @@ def cmd_schwarz(ns, cfg, w: _Writer) -> int:
 
 def cmd_battery(ns, cfg, w: _Writer) -> int:
     model = parse_model((_cfg_get(ns, cfg, "model", None) or ["disc"])[0])
-    samples = int(_cfg_get(ns, cfg, "samples", 2000))
-    seed = int(_cfg_get(ns, cfg, "seed", 0))
     rows_out = []
     bad = False
-    for row in consistency_matrix(model=model,
-                                  budget=SamplingBudget(samples=samples, seed=seed)):
+    for row in consistency_matrix(model=model):
         flagged = {c.split(":", 1)[0] for c in row.contradictions}
         for rep in row.map_reports:
             rows_out.append([row.weight, rep.map_label, rep.verdict,
@@ -421,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--criterion", choices=("sup-ratio", "tail"), default=None)
     sp.add_argument("--r0", type=float, default=None)
     sp.add_argument("--shells", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
     sp.set_defaults(fn=cmd_compop)
 
     sp = sub.add_parser("schwarz", help="||phi(x)|| <= ||x|| for origin-fixing maps")
@@ -431,7 +422,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("battery", help="built-in map-by-weight consistency matrix")
     common(sp)
-    sp.add_argument("--samples", type=int, default=None)
     sp.set_defaults(fn=cmd_battery)
 
     sp = sub.add_parser("all", help="run every diagnostic with defaults")

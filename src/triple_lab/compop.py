@@ -6,7 +6,7 @@ C_phi between the associated weighted sup-norm spaces is governed by
 
     sup_x  vX(||x||) / assoc(vZ)(||phi(x)||).
 
-This module estimates that supremum on geometric boundary shells
+This module evaluates that supremum on geometric boundary shells
 r_k = 1 - 2^-k. Two denominators are tracked: the raw weight vZ (a lower
 bound of assoc(vZ), so the ratio is an upper bound and "continuous"
 verdicts stay conservative) and the certified associated-weight envelope
@@ -14,14 +14,15 @@ verdicts stay conservative) and the certified associated-weight envelope
 for fast-decaying weights, so it never drives the verdict by itself; its LPs
 are paid only by a caller that passes an estimate, and without one the
 secondary trend is NaN; the envelope is non-increasing in r, so a shell
-evaluates it at its largest image norm only). Each shell is drawn once per
-call and shared by every map and weight of that call; each map is swept once
-per call, and every weight reads its image norms.
+evaluates it at its largest image norm only). Nothing is sampled: a shell
+needs only its largest image norm, which sphere_max bounds in closed form,
+and one witness per shell checks that the bound is attained, as a
+"not-continuous" verdict requires.
 
 The global theorem route: if vZ dominates vX up to a constant along equal
 norms and the boundary doubling of vZ is bounded, EVERY composition
 operator of the family is continuous. Both gates are computed here, and a
-Mobius-family spot check exercises the converse direction empirically.
+Mobius-family spot check exercises the converse direction.
 
 Shell trends use log values throughout; exp(-beta/(1-r)) underflows long
 before shell 20.
@@ -82,9 +83,6 @@ class HoloMap:
     mob: MobiusMap | None = None
     exponent: int | None = None
     parts: tuple["HoloMap", ...] = ()
-
-    def fixes_origin(self, tol: float = 1e-12) -> bool:
-        return triple_norm(map_apply(self, zero(self.domain))) <= tol
 
 
 def identity_map(model: TripleModel) -> HoloMap:
@@ -262,6 +260,56 @@ def _apply_kind(phi: HoloMap, coords: np.ndarray) -> np.ndarray:
     return out
 
 
+def sphere_max(phi: HoloMap, r) -> np.ndarray:
+    """Rigorous upper bound of max ||phi(x)|| over ||x|| = r, vectorised over r.
+
+    identity r; pow:k r**k (Schur product inequality on spectral models,
+    sum |x_i|^(2k) <= (sum |x_i|^2)^k on euclidean ones); mobius
+    (r + c)/(1 + r c) with c = ||a||; linear ||T||_2 r on euclidean domains
+    and min(1, sqrt(min(p, q)) ||T||_2) r on spectral ones, where the cap 1
+    is the contraction linear_map's norm gate admitted; compose chains its
+    stages, each nondecreasing in r.
+    """
+    r = np.asarray(r, dtype=np.float64)
+    if phi.kind == "identity":
+        return r
+    if phi.kind == "power":
+        return r ** phi.exponent
+    if phi.kind == "mobius":
+        c = triple_norm(phi.mob.center)
+        return (r + c) / (1.0 + r * c)
+    if phi.kind == "linear":
+        gain = float(np.linalg.norm(phi.matrix.entries, 2))
+        if phi.domain.norm_kind == "spectral":
+            gain = min(1.0, float(np.sqrt(min(phi.domain.shape))) * gain)
+        return gain * r
+    for part in phi.parts:
+        r = sphere_max(part, r)
+    return r
+
+
+def _direction(phi: HoloMap) -> np.ndarray:
+    """Unit witness direction: the Mobius center of the first non-identity
+    stage, the top right singular vector of a linear map, e1 otherwise."""
+    if phi.kind == "compose":
+        return _direction(next((p for p in phi.parts if p.kind != "identity"), phi.parts[0]))
+    v = np.zeros(phi.domain.coord_dim, dtype=np.complex128)
+    v[0] = 1.0
+    if phi.kind == "mobius" and triple_norm(phi.mob.center) > 0.0:
+        v = phi.mob.center.coords
+    elif phi.kind == "linear":
+        v = np.linalg.svd(phi.matrix.entries)[2][0].conj()
+    return v / triple_norm(TripleElement(phi.domain, v))
+
+
+def _shell_maxima(phi: HoloMap, radii: np.ndarray) -> tuple[np.ndarray, bool]:
+    """sphere_max on every shell, and whether one witness per shell reaches it."""
+    top = sphere_max(phi, radii)
+    witnesses = radii[:, None] * _direction(phi)[None, :]
+    reached = triple_norm_batch(phi.codomain, map_apply_batch(phi, witnesses))
+    return top, bool(np.all(reached >= top * (1.0 - 1e-12)))
+
+
 def normalize_at_origin(phi: HoloMap) -> tuple[HoloMap, TripleElement]:
     """Factor out the image of the origin: returns (psi, a) with
     psi = g_{-a} o phi, psi(0) = 0, a = phi(0)."""
@@ -327,13 +375,15 @@ def _trend_verdict(log_vals: np.ndarray) -> str:
 
 @dataclass(frozen=True, eq=False)
 class ContinuityReport:
-    """Shell-sweep estimate of the boundedness criterion for one map.
+    """Shell evaluation of the boundedness criterion for one map.
 
-    primary_log_trend uses the raw target weight in the denominator (an
+    image_maxima holds sphere_max per shell (clipped at 1 - 1e-15); attained
+    says a witness reached it on every shell. primary_log_trend uses the raw target weight in the denominator (an
     upper bound of the true criterion ratio: conservative toward
     "continuous"); secondary_log_trend uses the certified associated
     envelope passed as assoc_z, and is all NaN when none was passed.
-    verdict comes from the primary trend only.
+    verdict comes from the primary trend only; "not-continuous" needs
+    attained maxima and a non-increasing vZ, where that trend is exact.
     """
 
     criterion: str
@@ -348,9 +398,7 @@ class ContinuityReport:
     sup_estimate: float = np.nan
     diverged: bool = False
     verdict: str = "inconclusive"
-    witness_used: bool = False
-    samples_per_shell: int = 0
-    seed: int = 0
+    attained: bool = False
     r0: float | None = None
     notes: str = ""
 
@@ -359,10 +407,10 @@ def _shell_radii(shells: int) -> np.ndarray:
     """Radii r_k = 1 - 2^-k, k = 1..shells.
 
     Past 53 shells r rounds to 1 in float64, where power weights read
-    log v = -inf and Mobius maps meet a point of norm 1, so such counts are
-    refused. The deepest accepted shells still misread: image norms are
-    clipped at 1 - 1e-15 there, which only carrying s = 1 - r in place of r
-    would mend.
+    log v = -inf, so such counts are refused. The deepest accepted shells
+    still misread for Mobius maps and composites: their image norms round
+    toward 1 and are clipped at 1 - 1e-15, which only carrying s = 1 - r in
+    place of r would mend.
     """
     if shells < 2:
         raise UsageError("need at least 2 shells")
@@ -370,46 +418,6 @@ def _shell_radii(shells: int) -> np.ndarray:
     if not radii[-1] < 1.0:
         raise UsageError(f"{shells} shells put r = 1 in float64; use at most 53")
     return radii
-
-
-def _shell_draws(
-    model: TripleModel, shells: int, budget: SamplingBudget
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Shell radii and, per shell k, budget.samples points of norm r_k.
-
-    Shell k's stream depends on (budget.seed, k) only, so one draw serves
-    every map on the model and every weight.
-    """
-    radii = _shell_radii(shells)
-    draws = [
-        sample_coords(model, budget.samples, stream(budget.seed, 0xC0, k), norms=r)
-        for k, r in enumerate(radii)
-    ]
-    return radii, draws
-
-
-def _image_norms(
-    phi: HoloMap, radii: np.ndarray, draws: list[np.ndarray]
-) -> tuple[list[np.ndarray], bool]:
-    """Per shell: norms of phi over the drawn points (plus the exact Mobius
-    witness direction when available), and whether the witness was used."""
-    a = phi.mob.center if phi.kind == "mobius" else None
-    direction = a.coords / triple_norm(a) if a is not None and triple_norm(a) > 0 else None
-    per_shell = []
-    for r, xs in zip(radii, draws):
-        if direction is not None:  # vstack copies: the shared draws stay as drawn
-            xs = np.vstack([xs, (r * direction)[None, :]])
-        per_shell.append(triple_norm_batch(phi.codomain, map_apply_batch(phi, xs)))
-    return per_shell, direction is not None
-
-
-def _sweep_image_norms(
-    phi: HoloMap, shells: int, budget: SamplingBudget
-) -> tuple[np.ndarray, list[np.ndarray], bool]:
-    """Per shell: norms of phi over samples of norm r_k (plus the exact
-    Mobius witness direction when available)."""
-    radii, draws = _shell_draws(phi.domain, shells, budget)
-    return (radii, *_image_norms(phi, radii, draws))
 
 
 def criterion_sup_ratio(
@@ -420,13 +428,12 @@ def criterion_sup_ratio(
     budget: SamplingBudget | None = None,
     shells: int = 8,
 ) -> ContinuityReport:
-    """Shell estimate of sup vX(||x||) / vZ(||phi(x)||).
+    """Shell evaluation of sup vX(||x||) / vZ(||phi(x)||).
 
-    Requires both weights to satisfy Condition I. The image norms are
-    clipped away from 1 only through the model guarantee ||phi|| < 1;
-    samples include the exact extremal direction for Mobius maps.
+    Requires both weights to satisfy Condition I. budget is ignored; the
+    acceptance battery (c8) still passes one.
     """
-    return _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0=None)
+    return _criterion(phi, v_x, v_z, assoc_z, shells, tail_r0=None)
 
 
 def criterion_tail(
@@ -435,17 +442,16 @@ def criterion_tail(
     v_z: Weight,
     r0: float = 0.9,
     assoc_z: AssociatedWeightEstimate | None = None,
-    budget: SamplingBudget | None = None,
     shells: int = 8,
 ) -> ContinuityReport:
-    """Tail variant: only samples with ||phi(x)|| > r0 enter the ratio.
+    """Tail variant: only image norms > r0 enter the ratio.
 
     A map whose image never reaches past r0 satisfies the criterion
     vacuously and is reported continuous with a note.
     """
     if not 0.0 < r0 < 1.0:
         raise UsageError(f"r0 must lie in (0, 1), got {r0}")
-    return _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0=r0)
+    return _criterion(phi, v_x, v_z, assoc_z, shells, tail_r0=r0)
 
 
 def _require_condition_I(name: str, w: Weight) -> None:
@@ -456,34 +462,37 @@ def _require_condition_I(name: str, w: Weight) -> None:
         )
 
 
-def _criterion(phi, v_x, v_z, assoc_z, budget, shells, tail_r0):
+def _criterion(phi, v_x, v_z, assoc_z, shells, tail_r0):
     _require_condition_I("domain", v_x)
     _require_condition_I("target", v_z)
-    budget = budget or SamplingBudget(samples=2000)
-    radii, image_norms, witness_used = _sweep_image_norms(phi, shells, budget)
-    return _report(phi.label, v_x, v_z, assoc_z, budget, radii, image_norms,
-                   witness_used, tail_r0)
+    radii = _shell_radii(shells)
+    return _report(phi.label, v_x, v_z, assoc_z, radii, *_shell_maxima(phi, radii), tail_r0)
 
 
-def _report(label, v_x, v_z, assoc_z, budget, radii, image_norms, witness_used, tail_r0):
-    """The trend and verdict of one map's image norms under one weight pair."""
+def _min_log_weight(w: Weight, lo: float, top: np.ndarray) -> np.ndarray:
+    """Per shell, min of log w over [lo, top], which holds the shell's image
+    norms: the sphere's image is connected and reaches top. A non-increasing
+    w takes it at top; any other w is a table, minimal at an end or a knot."""
+    if w.non_increasing:
+        return w.log_eval(top)
+    knots = np.array([k[0] for k in w.knots])
+    return np.array([
+        np.min(w.log_eval(np.concatenate(([lo], knots[(knots > lo) & (knots < t)], [t]))))
+        for t in top
+    ])
+
+
+def _report(label, v_x, v_z, assoc_z, radii, maxima, attained, tail_r0):
+    """The trend and verdict of one map's shell maxima under one weight pair."""
     shells = len(radii)
-    log_vx = np.asarray(v_x.log_eval(radii))
+    top = np.minimum(maxima, 1.0 - 1e-15)
+    usable = np.ones(shells, dtype=bool) if tail_r0 is None else top > tail_r0
+    log_vx = np.asarray(v_x.log_eval(radii[usable]))
     primary = np.full(shells, np.nan)
+    primary[usable] = log_vx - _min_log_weight(v_z, tail_r0 or 0.0, top[usable])
     secondary = np.full(shells, np.nan)
-    maxima = np.zeros(shells)
-    usable = np.zeros(shells, dtype=bool)
-    for k in range(shells):
-        norms = np.minimum(image_norms[k], 1.0 - 1e-15)
-        maxima[k] = top = float(np.max(norms))
-        if tail_r0 is not None:
-            norms = norms[norms > tail_r0]
-            if norms.size == 0:
-                continue
-        usable[k] = True
-        primary[k] = log_vx[k] - float(np.min(np.asarray(v_z.log_eval(norms))))
-        if assoc_z is not None:  # the envelope is smallest at the shell's largest norm
-            secondary[k] = log_vx[k] - float(np.log(max(assoc_z.evaluate(top), 1e-300)))
+    if assoc_z is not None and np.any(usable):  # the envelope is smallest at the largest norm
+        secondary[usable] = log_vx - np.log(np.maximum(assoc_z.evaluate(top[usable]), 1e-300))
 
     notes = ""
     if tail_r0 is not None and not np.any(usable):
@@ -495,6 +504,9 @@ def _report(label, v_x, v_z, assoc_z, budget, radii, image_norms, witness_used, 
         ulog = primary[usable]
         tv = _trend_verdict(ulog)
         verdict = {"bounded": "continuous", "diverging": "not-continuous"}.get(tv, "inconclusive")
+        if verdict == "not-continuous" and not (attained and v_z.non_increasing):
+            verdict = "inconclusive"
+            notes = "the trend bounds the ratio from above only; divergence is not shown"
         if tail_r0 is not None and np.sum(usable) < 6:
             notes = "fewer than 6 shells reach past r0; verdict stays inconclusive"
             verdict = "inconclusive"
@@ -509,17 +521,15 @@ def _report(label, v_x, v_z, assoc_z, budget, radii, image_norms, witness_used, 
         map_label=label,
         weight_x=v_x.descriptor(),
         weight_z=v_z.descriptor(),
-        shell_radii=radii.copy(),  # one radii array serves every report of a sweep
-        image_maxima=maxima,
+        shell_radii=radii.copy(),  # one radii array serves every report of a call
+        image_maxima=top,
         primary_log_trend=primary,
         secondary_log_trend=secondary,
         trend=trend,
         sup_estimate=sup_est,
         diverged=diverged,
         verdict=verdict,
-        witness_used=witness_used,
-        samples_per_shell=budget.samples,
-        seed=budget.seed,
+        attained=attained,
         r0=tail_r0,
         notes=notes,
     )
@@ -584,7 +594,6 @@ def spot_check_mobius_family(
     v_z: Weight,
     model: TripleModel | None = None,
     center_norms: tuple[float, ...] = (0.2, 0.4, 0.6),
-    budget: SamplingBudget | None = None,
     shells: int = 8,
     assoc_z: AssociatedWeightEstimate | None = None,
 ) -> tuple[tuple[float, ContinuityReport], ...]:
@@ -595,16 +604,14 @@ def spot_check_mobius_family(
     for fast-decaying weights they realize the divergence.
     """
     model = model or parse_model("disc")
-    budget = budget or SamplingBudget(samples=2000)
     _require_condition_I("domain", v_z)
-    radii, draws = _shell_draws(model, shells, budget)
+    radii = _shell_radii(shells)
     out = []
     for c in center_norms:
         coords = np.zeros(model.coord_dim, dtype=np.complex128)
         coords[0] = c
         phi = mobius_holo(TripleElement(model, coords))
-        norms, witness_used = _image_norms(phi, radii, draws)
-        rep = _report(phi.label, v_z, v_z, assoc_z, budget, radii, norms, witness_used, None)
+        rep = _report(phi.label, v_z, v_z, assoc_z, radii, *_shell_maxima(phi, radii), None)
         out.append((float(c), rep))
     return tuple(out)
 
@@ -662,12 +669,12 @@ def consistency_matrix(
     A contradiction is a per-map "not-continuous" under a theorem-level
     "all continuous": the conservative primary trend should never produce
     one. The reverse pattern (theorem says not-all, a particular map still
-    continuous) is expected and benign.
+    continuous) is expected and benign. budget is ignored; c8 and the
+    benchmark's battery workload still pass one.
     """
     model = model or parse_model("disc")
     weights = weights or builtin_weights()
     maps = maps or builtin_maps(model)
-    budget = budget or SamplingBudget(samples=2000)
     assocs, theorems = [], []
     for w in weights:
         # theorem_verdict reads an estimate only past its non_increasing gate
@@ -675,14 +682,12 @@ def consistency_matrix(
         assocs.append(build_associated_estimate(w) if reads else None)
         theorems.append(theorem_verdict(w, w, assoc_z=assocs[-1]))
         _require_condition_I("domain", w)
-    # one draw per domain model, one sweep per map, read by every weight
-    draws = {m: _shell_draws(m, shells, budget) for m in dict.fromkeys(phi.domain for phi in maps)}
+    radii = _shell_radii(shells)
     reports = [[] for _ in weights]
     for phi in maps:
-        radii, shell_draws = draws[phi.domain]
-        norms, witness_used = _image_norms(phi, radii, shell_draws)
+        maxima, attained = _shell_maxima(phi, radii)
         for w, assoc, reps in zip(weights, assocs, reports):
-            reps.append(_report(phi.label, w, w, assoc, budget, radii, norms, witness_used, None))
+            reps.append(_report(phi.label, w, w, assoc, radii, maxima, attained, None))
     rows = []
     for w, thm, reps in zip(weights, theorems, reports):
         contra = tuple(

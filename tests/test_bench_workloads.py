@@ -24,9 +24,10 @@ def test_workload_cycle_passes_its_checks(name):
         assert w.check(ctx, inp, w.run(ctx, inp)) == []
 
 
-def test_battery_task_draws_each_shell_once():
-    """One battery row draws its 8 shells of 2000 points once, whatever the
-    number of maps, and checks its weight's Condition I once."""
+def test_battery_task_draws_no_samples():
+    """One battery row samples nothing: each of the 7 maps sends one witness
+    per shell through map_apply_batch (the composite's two stages add 16
+    rows), and the row checks its weight's Condition I once."""
     w = workloads.WORKLOADS["battery"]
     ctx = w.prepare()
     inp = w.inputs(ctx, 0, 0)[0]
@@ -40,5 +41,6 @@ def test_battery_task_draws_each_shell_once():
         tracer.uninstall(undo)
     assert w.check(ctx, inp, rows) == []
     assert len(ctx[1]) == 7
-    assert rec.counts["triples.sample_coords"]["rows"] == 8 * 2000
+    assert rec.counts["triples.sample_coords"].get("rows", 0) == 0
+    assert rec.counts["compop.map_apply_batch"]["rows"] == 7 * 8 + 2 * 8
     assert rec.calls["weights.condition_I_check"] == 1

@@ -91,8 +91,7 @@ def test_weights_command_csv(tmp_path):
 
 
 def test_compop_command_human(capsys):
-    rc = main(["compop", "--map", "pow:2", "--weight-x", "power:1",
-               "--samples", "200"])
+    rc = main(["compop", "--map", "pow:2", "--weight-x", "power:1"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "criterion verdict: continuous" in out
